@@ -10,7 +10,6 @@ transfer.
 from .bdg import (
     BdgBands,
     BdgProblem,
-    build_bdg,
     oracle_compare,
     solve_bdg,
     solve_bdg_bands,

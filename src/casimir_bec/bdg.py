@@ -5,17 +5,21 @@ coupled equations for (u, v*) at energy E are
 
     E u  =  T u + A(x) (u + v*),     -E v* = T v* + A(x) (u + v*),
 
-with A(x) = mu_tilde - U_L(x) and T the kinetic operator.  Expanding in
-plane waves exp(i (q_b + n k_base) x), n = -M..M, gives the non-symmetric
-block eigenproblem
+with A(x) = mu_tilde - U_L(x) and T the kinetic operator.  In plane waves
+exp(i (q_b + n k_base) x), n = -M..M, T is diagonal and A carries mu_tilde
+on the diagonal and -U_m/2 on the m-th off-diagonals.  With u + v* = T^1/2 w
+the pair reduces to a real symmetric eigenproblem of dimension 2M + 1,
 
-    H = [[T + A,  A], [-A, -(T + A)]],
+    E^2 w = K w,    K = T^1/2 (T + 2A) T^1/2
 
-where T is diagonal and A carries mu_tilde on the diagonal and -U_m/2 on
-the m-th off-diagonals.  Dense diagonalization of H is the brute-force
-oracle for every perturbative gap in spectrum.py.  Two corrugation
-fundamentals must be commensurate (ratio p/r with p, r <= 64) so a common
-Bloch period exists.
+(Pitaevskii & Stringari, Bose-Einstein Condensation, ch. 5; Castin,
+arXiv:cond-mat/0105058).  Only the branch E >= 0 is returned; at q_b = 0
+the Goldstone mode is its single zero.  K is congruent to T + 2A where T is
+nonsingular, so an E^2 below -(2M + 1) eps max E^2, the backward-error
+bound of a symmetric eigensolver, is a genuine dynamical instability;
+closer to zero it is roundoff and reads as E = 0.  K is the oracle for every
+perturbative gap in spectrum.py.  Two fundamentals must be commensurate
+(ratio p/r with p, r <= 64) so a common Bloch period exists.
 """
 
 from __future__ import annotations
@@ -31,9 +35,6 @@ from .errors import ContractError, InstabilityError, UnsupportedConfigurationErr
 from .species import AtomSpecies
 from .surface import LateralPotential
 
-# Eigenvalues with |Im E| below this fraction of mu_tilde are numerical
-# noise; anything larger is a genuine dynamical instability.
-_IMAG_TOL = 1e-8
 _COMMENSURATE_MAX = 64
 
 
@@ -68,7 +69,7 @@ def reduce_to_common_base(pot: LateralPotential) -> tuple[float, dict[int, float
 
 @dataclass(frozen=True)
 class BdgProblem:
-    """One Bloch-momentum diagonalization of dimension 2*(2*cutoff + 1)."""
+    """One Bloch-momentum diagonalization of dimension 2*cutoff + 1."""
 
     mu_tilde: float
     species: AtomSpecies
@@ -81,7 +82,7 @@ class BdgProblem:
         if self.cutoff < 1:
             raise UnsupportedConfigurationError(f"plane-wave cutoff must be >= 1, got {self.cutoff}")
         if self.cutoff < 4:
-            # The minimal M = 1 basis (dimension 6) reproduces the two-state
+            # The minimal M = 1 basis (dimension 3) reproduces the two-state
             # reduction but nothing here is converged below M ~ 4.
             warnings.warn(f"plane-wave cutoff M = {self.cutoff} < 4 is below the "
                           "convergence floor", stacklevel=2)
@@ -97,55 +98,38 @@ class BdgProblem:
 
     @property
     def dimension(self) -> int:
-        return 2 * (2 * self.cutoff + 1)
-
-
-def build_bdg(problem: BdgProblem) -> np.ndarray:
-    """Assemble the dense block matrix [[T+A, A], [-A, -(T+A)]]."""
-    m = problem.cutoff
-    n_pw = 2 * m + 1
-    indices = np.arange(-m, m + 1)
-    momenta = problem.q_bloch + indices * problem.k_base
-    t = np.diag((HBAR * momenta) ** 2 / (2.0 * problem.species.mass))
-    a = problem.mu_tilde * np.eye(n_pw)
-    for mult, u in problem.potential:
-        if mult <= 2 * m:
-            a += (-u / 2.0) * (np.eye(n_pw, k=mult) + np.eye(n_pw, k=-mult))
-    return np.block([[t + a, a], [-a, -(t + a)]])
+        return 2 * self.cutoff + 1
 
 
 def solve_bdg(problem: BdgProblem, return_vectors: bool = False):
-    """All eigenvalues (real, ascending).  With return_vectors, also the
-    right eigenvectors in matching order."""
-    h = build_bdg(problem)
+    """Quasiparticle energies E >= 0, ascending; with return_vectors, also the
+    amplitudes stacked as [u; v], one column per energy, zero where E = 0."""
+    m, n_pw = problem.cutoff, problem.dimension
+    momenta = problem.q_bloch + np.arange(-m, m + 1) * problem.k_base
+    t = (HBAR * momenta) ** 2 / (2.0 * problem.species.mass)
+    t_2a = np.diag(t + 2.0 * problem.mu_tilde)
+    for mult, u in problem.potential:
+        if mult <= 2 * m:
+            t_2a -= u * (np.eye(n_pw, k=mult) + np.eye(n_pw, k=-mult))
+    root_t = np.sqrt(t)
+    k = root_t[:, None] * t_2a * root_t[None, :]
     if return_vectors:
-        values, vectors = np.linalg.eig(h)
+        squares, w = np.linalg.eigh(k)
     else:
-        values = np.linalg.eigvals(h)
-        vectors = None
-    # Noise floor scales with the matrix norm: the top bands sit far above
-    # mu_tilde at large cutoffs.  Genuine instabilities show |Im E| on the
-    # scale of mu_tilde itself, orders of magnitude above this.
-    imag_scale = _IMAG_TOL * max(problem.mu_tilde, float(np.max(np.abs(values.real))))
-    imag_max = float(np.max(np.abs(values.imag)))
-    if imag_max > imag_scale:
+        squares = np.linalg.eigvalsh(k)
+    bound = n_pw * np.finfo(float).eps * squares[-1]  # solver backward error
+    if squares[0] < -bound:
         raise InstabilityError(
-            f"BdG spectrum has complex eigenvalues (max |Im E| = {imag_max:.4g} J, "
-            f"tolerance {imag_scale:.4g} J): background is not TF-stable or the "
-            "lateral potential is too large"
-        )
-    order = np.argsort(values.real)
-    if return_vectors:
-        return values.real[order], vectors[:, order]
-    return values.real[order]
-
-
-def positive_branch(values: np.ndarray, mu_tilde: float) -> np.ndarray:
-    """Non-negative eigenvalues, ascending; tiny negatives from roundoff
-    are clipped to zero."""
-    tol = 1e-12 * max(mu_tilde, float(np.max(np.abs(values))))
-    kept = values[values > -tol]
-    return np.sort(np.clip(kept, 0.0, None))
+            f"BdG spectrum has a negative E^2 (min/max = {squares[0] / squares[-1]:.4g}, "
+            f"roundoff bound {-bound / squares[-1]:.4g}): background is not TF-stable "
+            "or the lateral potential is too large")
+    energies = np.sqrt(np.where(squares > bound, squares, 0.0))
+    if not return_vectors:
+        return energies
+    live = energies > 0.0
+    f = root_t[:, None] * w * live
+    g = np.divide(t_2a @ f, energies, out=np.zeros_like(f), where=live)
+    return energies, np.vstack([(f + g) / 2.0, (f - g) / 2.0])
 
 
 @dataclass(frozen=True)
@@ -193,8 +177,7 @@ def zone_edge_gap(
     )
     values, vectors = solve_bdg(problem, return_vectors=True)
 
-    m = problem.cutoff
-    n_pw = 2 * m + 1
+    m, n_pw = problem.cutoff, problem.dimension
     slots = []
     for target in (q_n, -q_n):
         j = round((target - q_b) / k_base)
@@ -252,6 +235,9 @@ def solve_bdg_bands(
 ) -> BdgBands:
     """Bands over the first Brillouin zone of the common period, with
     zone-edge gap estimates and cutoff-convergence metadata."""
+    if not 1 <= n_bands <= 2 * cutoff + 1:
+        raise UnsupportedConfigurationError(f"n_bands must lie in [1, 2M + 1] = "
+                                            f"[1, {2 * cutoff + 1}], got {n_bands}")
     k_base, coeffs = reduce_to_common_base(pot)
     if q_grid is None:
         q_grid = np.linspace(-k_base / 2.0, k_base / 2.0, 33)
@@ -262,8 +248,7 @@ def solve_bdg_bands(
     for i, q_b in enumerate(q_grid):
         problem = BdgProblem(mu_tilde=mu_tilde, species=species, k_base=k_base,
                              potential=potential, q_bloch=float(q_b), cutoff=cutoff)
-        pos = positive_branch(solve_bdg(problem), mu_tilde)
-        bands[i, :] = pos[:n_bands]
+        bands[i, :] = solve_bdg(problem)[:n_bands]
 
     gaps = _all_zone_edge_gaps(mu_tilde, species, pot, cutoff)
 

@@ -318,6 +318,8 @@ def parse_config_text(text: str, path: str = "<string>") -> RunConfig:
                 f"{path}:{section_lines[section]}: [{section}] missing required keys: "
                 + ", ".join(missing)
             )
+        if section == "numerics":
+            _check_bdg_numerics(keys, out, path, errors)
         values[section] = out
 
     if errors:
@@ -327,6 +329,19 @@ def parse_config_text(text: str, path: str = "<string>") -> RunConfig:
         return _assemble(values, custom_species, path)
     except ConfigurationError as exc:
         raise ConfigurationError(f"{path}: {exc}") from None
+
+
+def _check_bdg_numerics(keys, out, path, errors: list[str]) -> None:
+    """Range checks on the BdG knobs, each reported at the line that set it."""
+    for key in ("bdg_cutoff", "bdg_qpoints", "bdg_bands"):
+        if out.get(key, 1) < 1:
+            errors.append(f"{path}:{keys[key].line}: [numerics] {key}: must be >= 1, got {out[key]}")
+    cutoff = out.get("bdg_cutoff", Numerics.bdg_cutoff)
+    bands = out.get("bdg_bands", Numerics.bdg_bands)
+    if cutoff >= 1 and bands > 2 * cutoff + 1:
+        key = "bdg_bands" if "bdg_bands" in out else "bdg_cutoff"
+        errors.append(f"{path}:{keys[key].line}: [numerics] {key}: bdg_bands = {bands} "
+                      f"exceeds the 2*bdg_cutoff + 1 = {2 * cutoff + 1} bands of the basis")
 
 
 def _assemble(values, custom_species, path) -> RunConfig:

@@ -22,7 +22,7 @@ class UnsupportedConfigurationError(CasimirBecError):
 
 
 class InstabilityError(CasimirBecError):
-    """Bogoliubov-de Gennes spectrum has genuinely complex eigenvalues."""
+    """Bogoliubov-de Gennes spectrum has a genuinely negative E^2 (dynamical instability)."""
 
 
 class ContractError(CasimirBecError):

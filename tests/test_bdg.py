@@ -1,9 +1,13 @@
 """Exact BdG diagonalization: structure, limits, convergence, oracle role."""
 
 import warnings
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from casimir_bec import (
     RB87,
@@ -17,15 +21,14 @@ from casimir_bec import (
 )
 from casimir_bec.bdg import (
     BdgProblem,
-    build_bdg,
     oracle_compare,
-    positive_branch,
     reduce_to_common_base,
     solve_bdg,
     solve_bdg_bands,
     zone_edge_gap,
 )
 from casimir_bec.benchmarks import mixing_scenario, separated_scenario
+from casimir_bec.constants import HBAR
 
 
 def _single_pot(k_c, u):
@@ -38,20 +41,45 @@ def _problem(params, pot, q_b, cutoff):
                       potential=tuple(sorted(coeffs.items())), q_bloch=q_b, cutoff=cutoff)
 
 
+# Reference oracle: the full non-symmetric block problem for (u, v),
+# diagonalized with a general eigensolver.
+
+
+def _block_bdg(problem):
+    """Dense block matrix [[T+A, A], [-A, -(T+A)]] of dimension 2(2M+1)."""
+    m = problem.cutoff
+    n_pw = 2 * m + 1
+    momenta = problem.q_bloch + np.arange(-m, m + 1) * problem.k_base
+    t = np.diag((HBAR * momenta) ** 2 / (2.0 * problem.species.mass))
+    a = problem.mu_tilde * np.eye(n_pw)
+    for mult, u in problem.potential:
+        if mult <= 2 * m:
+            a += (-u / 2.0) * (np.eye(n_pw, k=mult) + np.eye(n_pw, k=-mult))
+    return np.block([[t + a, a], [-a, -(t + a)]])
+
+
+def _block_solve(problem, return_vectors=False):
+    """All 2(2M+1) eigenvalues of the block matrix, ascending by real part,
+    optionally with the right eigenvectors stacked as [u; v]."""
+    values, vectors = np.linalg.eig(_block_bdg(problem))
+    order = np.argsort(values.real)
+    if return_vectors:
+        return values.real[order], vectors[:, order]
+    return values.real[order]
+
+
 def test_homogeneous_limit_exact(params, pot):
     k_c = pot.components[0].k_c
     problem = _problem(params, _single_pot(k_c, 0.0), k_c / 2.0, cutoff=8)
     values = solve_bdg(problem)
-    expected = []
-    for n in range(-8, 9):
-        e = bogoliubov_dispersion(abs(k_c / 2.0 + n * k_c), params.mu_tilde, RB87)
-        expected += [e, -e]
+    expected = [bogoliubov_dispersion(abs(k_c / 2.0 + n * k_c), params.mu_tilde, RB87)
+                for n in range(-8, 9)]
     np.testing.assert_allclose(values, np.sort(expected), rtol=1e-9)
 
 
 def test_matrix_trace_zero(params, pot):
     problem = _problem(params, pot, 0.3e5, cutoff=6)
-    h = build_bdg(problem)
+    h = _block_bdg(problem)
     assert h.shape == (26, 26)
     assert np.trace(h) == pytest.approx(0.0, abs=1e-12 * np.max(np.abs(h)))
 
@@ -61,7 +89,7 @@ def test_minimal_cutoff_reproduces_two_state_gap(params, pot):
     with pytest.warns(UserWarning, match="convergence floor"):
         gap_m1 = zone_edge_gap(params.mu_tilde, RB87, pot, cutoff=1)
         problem = _problem(params, pot, gap_pert.q_n, cutoff=1)
-    assert problem.dimension == 6
+    assert problem.dimension == 3
     e_b = bogoliubov_dispersion(gap_pert.q_n, params.mu_tilde, RB87)
     u_over_eb = abs(gap_pert.u_n) / e_b
     assert abs(gap_m1.gap - gap_pert.gap) / gap_pert.gap <= 5.0 * u_over_eb
@@ -93,10 +121,13 @@ def test_linear_response_scaling(params, pot):
 
 
 def test_spectral_symmetry(params, pot):
+    # The block oracle's spectrum is +-E pairs; its upper half is solve_bdg.
     for q_b in (0.11e5, 1.7e5, 3.22e5):
-        values = solve_bdg(_problem(params, pot, q_b, cutoff=10))
+        problem = _problem(params, pot, q_b, cutoff=10)
+        values = _block_solve(problem)
         scale = np.max(np.abs(values))
         np.testing.assert_allclose(values, -values[::-1], atol=1e-9 * scale)
+        np.testing.assert_allclose(solve_bdg(problem), values[problem.dimension:], rtol=1e-9)
 
 
 def test_convergence_in_cutoff(params, pot):
@@ -113,8 +144,7 @@ def test_detuned_branches_match_bdg(params, pot):
     k_c = pot.components[0].k_c
     eps = k_c / 8.0
     slice_ = band_branches(params, pot, detunings=np.array([eps]))
-    values = solve_bdg(_problem(params, pot, k_c / 2.0 + eps, cutoff=16))
-    lowest = positive_branch(values, params.mu_tilde)[:2]
+    lowest = solve_bdg(_problem(params, pot, k_c / 2.0 + eps, cutoff=16))[:2]
     assert slice_.e_minus[0] == pytest.approx(lowest[0], rel=0.02)
     assert slice_.e_plus[0] == pytest.approx(lowest[1], rel=0.02)
 
@@ -122,11 +152,9 @@ def test_detuned_branches_match_bdg(params, pot):
 def test_bloch_periodicity(params, pot):
     k_c = pot.components[0].k_c
     q_b = 0.17 * k_c
-    low = solve_bdg(_problem(params, pot, q_b, cutoff=24))
-    high = solve_bdg(_problem(params, pot, q_b + k_c, cutoff=24))
-    pos_low = positive_branch(low, params.mu_tilde)[:5]
-    pos_high = positive_branch(high, params.mu_tilde)[:5]
-    np.testing.assert_allclose(pos_low, pos_high, rtol=1e-9)
+    low = solve_bdg(_problem(params, pot, q_b, cutoff=24))[:5]
+    high = solve_bdg(_problem(params, pot, q_b + k_c, cutoff=24))[:5]
+    np.testing.assert_allclose(low, high, rtol=1e-9)
 
 
 def test_solve_bdg_bands_metadata(params, pot):
@@ -137,6 +165,78 @@ def test_solve_bdg_bands_metadata(params, pot):
     assert bands.bands.shape == (33, 4)
     # band ordering along the grid
     assert np.all(np.diff(bands.bands, axis=1) >= -1e-12 * params.mu_tilde)
+
+
+def test_goldstone_zero_appears_once(params, pot):
+    bands = solve_bdg_bands(params.mu_tilde, RB87, pot, check_convergence=False)
+    centre = int(np.flatnonzero(bands.q_grid == 0.0)[0])
+    row = bands.bands[centre]
+    assert np.count_nonzero(row < 1e-9 * params.mu_tilde) == 1
+    # Not shifted down by a duplicate zero: band 1 at q_b = 0 sits between
+    # bands 1 and 2 of its (mirror-image) neighbours, ~151 and ~162 Hz.
+    neighbour = bands.bands[centre + 1]
+    np.testing.assert_allclose(bands.bands[centre - 1], neighbour, rtol=1e-9)
+    assert neighbour[1] < row[1] < neighbour[2]
+
+
+def test_vectors_map_back_to_bdg_equations(params, pot):
+    # (u, v) from the symmetric problem solve the block equations H x = E x.
+    for q_b in (0.0, 0.21 * pot.components[0].k_c):
+        problem = _problem(params, pot, q_b, cutoff=8)
+        energies, vectors = solve_bdg(problem, return_vectors=True)
+        residual = _block_bdg(problem) @ vectors - vectors * energies
+        scale = np.max(energies) * np.max(np.abs(vectors))
+        assert np.max(np.abs(residual)) < 1e-10 * scale
+        dead = energies == 0.0
+        assert np.count_nonzero(dead) == (1 if q_b == 0.0 else 0)
+        assert np.all(vectors[:, dead] == 0.0)
+
+
+def test_band_count_out_of_range_rejected(params, pot):
+    for n_bands in (0, 2 * 4 + 2):
+        with pytest.raises(UnsupportedConfigurationError, match="n_bands"):
+            solve_bdg_bands(params.mu_tilde, RB87, pot, cutoff=4, n_bands=n_bands)
+
+
+_RATIOS = (Fraction(3, 2), Fraction(4, 3), Fraction(5, 4), Fraction(5, 3), Fraction(5, 2))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    ratio=st.one_of(st.none(), st.sampled_from(_RATIOS)),
+    weights=st.lists(st.floats(min_value=-1.0, max_value=1.0).filter(lambda w: abs(w) > 0.01),
+                     min_size=3, max_size=3),
+    strength=st.floats(min_value=0.01, max_value=0.5),
+    cutoff=st.integers(min_value=4, max_value=24),
+    q_step=st.one_of(st.sampled_from((0, -32, 32)), st.integers(min_value=-32, max_value=32)),
+)
+def test_symmetric_solver_matches_block_oracle(params, pot, ratio, weights, strength,
+                                               cutoff, q_step):
+    # Random small commensurate potentials with sum |U| <= 0.5 mu_tilde:
+    # fundamental 1 carries two harmonics, the optional fundamental 2 one.
+    mu = params.mu_tilde
+    k_c = pot.components[0].k_c
+    u = [w * strength * mu / sum(abs(x) for x in weights) for w in weights]
+    comps = [PotentialComponent(k_c=k_c, coefficients=(u[0], u[1]))]
+    if ratio is not None:
+        comps.append(PotentialComponent(k_c=float(ratio) * k_c, coefficients=(u[2],)))
+    lateral = LateralPotential(components=tuple(comps))
+    k_base, _ = reduce_to_common_base(lateral)
+    problem = _problem(params, lateral, q_step * k_base / 64.0, cutoff)
+
+    new = solve_bdg(problem)
+    old = _block_solve(problem)[problem.dimension:]
+    if q_step == 0:  # the Goldstone slot: an exact zero against roundoff
+        assert new[0] == 0.0 and abs(old[0]) < 1e-6 * mu
+        new, old = new[1:], old[1:]
+    np.testing.assert_allclose(new, old, rtol=1e-8)
+
+    for fundamental, harmonic in ((0, 1), (0, 2)) + (((1, 1),) if ratio else ()):
+        gap_new = zone_edge_gap(mu, RB87, lateral, harmonic, fundamental, cutoff)
+        with mock.patch("casimir_bec.bdg.solve_bdg", _block_solve):
+            gap_old = zone_edge_gap(mu, RB87, lateral, harmonic, fundamental, cutoff)
+        np.testing.assert_allclose([gap_new.e_lower, gap_new.e_upper],
+                                   [gap_old.e_lower, gap_old.e_upper], rtol=1e-8)
 
 
 def test_instability_detected(params, pot):

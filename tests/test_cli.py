@@ -62,6 +62,38 @@ def test_bdg_command_includes_oracle_pass(config_path, tmp_path):
     assert summary["bdg"]["converged"] is True
 
 
+def test_bdg_command_commensurate_5_4_is_stable(tmp_path):
+    # k_c ratio 5/4 at the default cutoff: T + 2A is diagonally dominant, so
+    # the spectrum is real and the run must not report an instability.
+    config = tmp_path / "ratio54.cfg"
+    config.write_text(
+        "[trap]\nomega_r = 2.7 kHz\nomega_x = 0.83 Hz\natoms = 5456\n\n"
+        "[surface]\nz_cm = 2.1738 um\nlambda_c = 9.4804 um\nh = 0.7023 um\n"
+        "lambda_c2 = 7.58432 um\nh2 = 0.7023 um\n"
+    )
+    out = tmp_path / "out"
+    assert _run("bdg", str(config), out) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["oracle_compare"]["all_pass"] is True
+
+
+@pytest.mark.parametrize("numerics, key", [
+    ("bdg_bands = 500", "bdg_bands"),
+    ("bdg_bands = 0", "bdg_bands"),
+    ("bdg_qpoints = 0", "bdg_qpoints"),
+    ("bdg_cutoff = 0", "bdg_cutoff"),
+    ("bdg_cutoff = 3", "bdg_cutoff"),  # 7 plane waves, 8 default bands
+])
+def test_bdg_numerics_out_of_range_refused(tmp_path, capsys, numerics, key):
+    config = tmp_path / "bad.cfg"
+    config.write_text(CONFIG.replace("bdg_cutoff = 12\nbdg_qpoints = 9\n", "")
+                      .replace("[numerics]\n", f"[numerics]\n{numerics}\n"))
+    assert _run("bdg", str(config), tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert f"bad.cfg:13: [numerics] {key}" in err  # the line that set it
+
+
 def test_dsf_command_single_branch_for_flat_surface(config_path, tmp_path):
     flat = Path(config_path).read_text().replace("h = 1 um", "h = 0 um")
     flat_path = Path(config_path).with_name("flat.cfg")
