@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bdg import zone_edge_gap
-from .bragg import BraggPulse, bragg_signal, dsf_lda
+from .bragg import BraggPulse, bragg_signal, dsf_lda, pulse_averaged_drive
 from .condensate import (
     TrapConfig,
     bogoliubov_dispersion,
@@ -148,7 +148,13 @@ def longpulse_shape_deviation(params, u_1: float, q: float,
     and the normalized DSF.
 
     Protocol: tau = 100 hbar/E_B(q); the response at each probe detuning
-    is the time average of dP_X/dt over the pulse; probes exclude
+    w is dP_X/dt averaged over the pulse.  At equilibrium only the drive
+    term contributes, and its pulse average is exact
+    (`bragg.pulse_averaged_drive`):
+
+        (hbar q V_B^2 / 2) integral dw' S(q, w') (tau/2) sinc^2((w - w') tau / 2 pi),
+
+    with sinc(x) = sin(pi x)/(pi x).  Probes exclude
     `exclusion_widths` kernel widths (2*pi/tau) around the divergence
     markers and the support edges, where the finite-pulse kernel cannot
     follow the integrable singularity; both curves are normalized to
@@ -174,12 +180,7 @@ def longpulse_shape_deviation(params, u_1: float, q: float,
         )
     probe_idx = probe_idx[:: max(1, len(probe_idx) // n_probe)]
 
-    responses = []
-    for i in probe_idx:
-        pulse = BraggPulse(q=q, omega=float(dsf.omega[i]), v_b=1.0, tau=tau)
-        signal = bragg_signal(pulse, dsf, params, n_time=256)
-        responses.append(float(np.trapezoid(signal.dpdt, signal.times)) / tau)
-    responses = np.asarray(responses)
+    responses = pulse_averaged_drive(dsf.omega[probe_idx], q, tau, dsf)
     s_probe = dsf.total[probe_idx]
     return float(np.max(np.abs(responses / np.max(responses) - s_probe / np.max(s_probe))))
 

@@ -17,6 +17,11 @@ with hbar*w = E+-(x*, q) defining x*, and
     E+-(x, q) = E0(x, q) +- (T_q / 2 E0(x, q)) U,
     E0(x, q)  = sqrt(T_q^2 + 2 T_q mu_tilde (1 - (2x/L)^2)).
 
+E+- is quadratic in E0, so x* is closed-form on the whole grid at once:
+
+    E0 = (E + sqrt(E^2 -+ 2 T_q U)) / 2,   E = hbar*w,
+    1 - (2x*/L)^2 = (E0^2 / T_q - T_q) / (2 mu_tilde).
+
 Each branch diverges (integrably, like an inverse square root) where
 hbar*w hits the x = 0 energy; that bin is capped and flagged, and branch
 weights add the analytic sqrt tail.  Absolute DSF units are arbitrary;
@@ -30,7 +35,13 @@ detuning w and Heaviside envelope:
                                    sin((w - w') t) / (w - w').
 
 At zero temperature S(-q,-w') vanishes for w' > 0; a finite-temperature
-spectrum can be supplied through dsf_neg.
+spectrum can be supplied through dsf_neg.  Averaged over the pulse, the
+drive kernel integrates exactly,
+
+    (1/tau) integral_0^tau sin(D t)/D dt = (tau/2) sinc^2(D tau / 2 pi),
+
+with sinc(x) = sin(pi x)/(pi x), so the long-pulse response needs no time
+grid (pulse_averaged_drive).
 """
 
 from __future__ import annotations
@@ -40,7 +51,6 @@ from dataclasses import dataclass
 import warnings
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .constants import HBAR
 from .condensate import (
@@ -151,9 +161,9 @@ def local_spectrum(x: float, q: float, params: Quasi1DParams, u_n: float, sign: 
     return e0 + sign * (t_q / (2.0 * e0)) * u_n
 
 
-def _branch_profile(q: float, params: Quasi1DParams, u_abs: float, sign: int):
-    """Closures (energy, slope-magnitude, weight) for one LDA branch as
-    functions of x in [0, l/2], plus curvature at the origin."""
+def _sample_branch(q, params, u_abs, sign, omega):
+    """S on the omega grid for one LDA branch, its resonance bin, support
+    and weight, with x* from the closed-form inverse of E+-(x*) = hbar*w."""
     half = params.half_length
     t_q = free_kinetic_energy(q, params.species)
     mu = params.mu_tilde
@@ -165,46 +175,36 @@ def _branch_profile(q: float, params: Quasi1DParams, u_abs: float, sign: int):
             "is not monotone and the branch inversion breaks down"
         )
 
-    def energy(x):
-        e0 = _local_e0(x, t_q, mu, half)
+    def energy(e0):
         return e0 + sign * (t_q / (2.0 * e0)) * u_abs
 
-    def slope_abs(x):
-        e0 = _local_e0(x, t_q, mu, half)
-        de0 = 2.0 * t_q * mu * x / (half**2 * e0)
-        return de0 * abs(1.0 - sign * t_q * u_abs / (2.0 * e0**2))
-
-    def weight(x):
-        e0 = _local_e0(x, t_q, mu, half)
-        return n_peak * (1.0 - (x / half) ** 2) * t_q / e0
-
-    e0_origin = _local_e0(0.0, t_q, mu, half)
-    curvature = (t_q * mu / (half**2 * e0_origin)) * (
-        1.0 - sign * t_q * u_abs / (2.0 * e0_origin**2)
-    )
-    return energy, slope_abs, weight, curvature
-
-
-def _sample_branch(q, params, u_abs, sign, omega):
-    energy, slope_abs, weight, curvature = _branch_profile(q, params, u_abs, sign)
-    half = params.half_length
-    e_top = energy(0.0)
-    e_bottom = energy(half)
+    e0_top = _local_e0(0.0, t_q, mu, half)
+    e_top = energy(e0_top)
+    e_bottom = energy(_local_e0(half, t_q, mu, half))
     s = np.zeros_like(omega)
     node_w = _trapezoid_node_weights(omega)
 
     i_res = int(np.argmin(np.abs(omega - e_top / HBAR)))
-    amp = weight(0.0) / math.sqrt(curvature)  # S ~ amp / sqrt(e_top - E)
+    curvature = (t_q * mu / (half**2 * e0_top)) * (
+        1.0 - sign * t_q * u_abs / (2.0 * e0_top**2)
+    )
+    amp = n_peak * t_q / e0_top / math.sqrt(curvature)  # S ~ amp / sqrt(e_top - E)
 
-    for i, w in enumerate(omega):
-        e_t = HBAR * w
-        if i == i_res or not e_bottom <= e_t < e_top:
-            continue
-        if e_t == e_bottom:
-            continue  # weight vanishes there anyway
-        x_star = brentq(lambda x: energy(x) - e_t, 0.0, half,
-                        xtol=half * 1e-14, rtol=8.9e-16)
-        s[i] = 2.0 * weight(x_star) / slope_abs(x_star)
+    # Regular bins: E0 is the larger root of E0^2 - E E0 + s T_q |U| / 2 = 0;
+    # env = 1 - (x*/half)^2 and depth = (x*/half)^2 come from E0 - T_q and
+    # e0_top - E0, which keeps each accurate at its own end of the support.
+    # As in _local_e0, env is clamped at 0: a bin a few ulps above e_bottom
+    # can round below it.
+    e_t = HBAR * omega
+    regular = (e_t > e_bottom) & (e_t < e_top)
+    regular[i_res] = False
+    e = e_t[regular]
+    e0 = 0.5 * (e + np.sqrt(e * e - 2.0 * sign * t_q * u_abs))
+    env = np.maximum(0.0, (e0 - t_q) * (e0 + t_q)) / (2.0 * mu * t_q)
+    depth = (e0_top - e0) * (e0_top + e0) / (2.0 * mu * t_q)
+    # 2 n1(x*) (T_q/E0) / |dE/dx| at x*, with n1 = n_peak env.
+    s[regular] = n_peak * half * env / (
+        mu * np.sqrt(depth) * (1.0 - sign * t_q * u_abs / (2.0 * e0**2)))
 
     # Capped, flagged resonance sample: the value half a bin below the
     # divergence, from the analytic sqrt form.
@@ -221,13 +221,13 @@ def _sample_branch(q, params, u_abs, sign, omega):
     inside[i_res] = False
     e_regular = HBAR * omega[inside]
     if e_regular.size >= 2:
-        regular = float(np.trapezoid(s[inside], e_regular))
+        regular_weight = float(np.trapezoid(s[inside], e_regular))
         e_last = float(e_regular[-1])
     else:
-        regular = 0.0
+        regular_weight = 0.0
         e_last = e_bottom
     tail = 2.0 * amp * math.sqrt(max(0.0, e_top - e_last))
-    return s, i_res, (e_bottom, e_top), regular + tail
+    return s, i_res, (e_bottom, e_top), regular_weight + tail
 
 
 def dsf_lda(q: float, omega_grid, params: Quasi1DParams, u_n: float) -> DsfSpectrum:
@@ -276,6 +276,25 @@ class BraggSignal:
     pulse: BraggPulse
 
 
+def _check_support(dsf: DsfSpectrum, tau: float) -> None:
+    """Refuse a DSF clipped by its grid; warn when the grid cannot resolve
+    a kernel of width 1/tau."""
+    s = dsf.total
+    peak = float(np.max(s))
+    if peak > 0.0 and (s[0] > 1e-12 * peak or s[-1] > 1e-12 * peak):
+        raise ContractError(
+            "DSF support is clipped by its omega grid; the drive kernel "
+            "integral cannot converge - extend the window"
+        )
+    step = float(np.max(np.diff(dsf.omega)))
+    if step > 1.0 / tau:
+        warnings.warn(
+            f"omega grid step {step:.3g} rad/s exceeds 1/tau = {1.0 / tau:.3g} "
+            "rad/s; the oscillating kernel is under-resolved",
+            stacklevel=3,
+        )
+
+
 def _drive_at(times, pulse: BraggPulse, dsf_pos: DsfSpectrum,
               dsf_neg: DsfSpectrum | None) -> np.ndarray:
     """(hbar q V^2/2) * integral dw' [S(q,w') - S(-q,-w')] sin((w-w')t)/(w-w')."""
@@ -286,32 +305,33 @@ def _drive_at(times, pulse: BraggPulse, dsf_pos: DsfSpectrum,
         # sin(delta*t)/delta, exact at delta = 0
         return t * np.sinc(delta[None, :] * t / math.pi)
 
-    def check_support(dsf):
-        s = dsf.total
-        peak = float(np.max(s))
-        if peak > 0.0 and (s[0] > 1e-12 * peak or s[-1] > 1e-12 * peak):
-            raise ContractError(
-                "DSF support is clipped by its omega grid; the drive kernel "
-                "integral cannot converge - extend the window"
-            )
-        step = float(np.max(np.diff(dsf.omega)))
-        if step > 1.0 / pulse.tau:
-            warnings.warn(
-                f"omega grid step {step:.3g} rad/s exceeds 1/tau = {1.0 / pulse.tau:.3g} "
-                "rad/s; the oscillating kernel is under-resolved",
-                stacklevel=3,
-            )
-
-    check_support(dsf_pos)
+    _check_support(dsf_pos, pulse.tau)
     node_w = _trapezoid_node_weights(dsf_pos.omega)
     drive = prefactor * (kernel(pulse.omega - dsf_pos.omega) @ (dsf_pos.total * node_w))
     if dsf_neg is not None:
-        check_support(dsf_neg)
+        _check_support(dsf_neg, pulse.tau)
         node_w_neg = _trapezoid_node_weights(dsf_neg.omega)
         drive = drive - prefactor * (
             kernel(pulse.omega + dsf_neg.omega) @ (dsf_neg.total * node_w_neg)
         )
     return drive
+
+
+def pulse_averaged_drive(omegas, q: float, tau: float, dsf_pos: DsfSpectrum) -> np.ndarray:
+    """Drive term of dP_X/dt at V_B = 1 (it scales as V_B^2) averaged over
+    a pulse [0, tau], one value per detuning in `omegas` (rad/s), at zero
+    temperature.
+
+    The time average of the kernel is exact,
+    (1/tau) integral_0^tau sin(D t)/D dt = (1 - cos D tau)/(D^2 tau)
+                                         = (tau/2) sinc^2(D tau / 2 pi),
+    so the average is one (detunings x grid) matrix-vector product.
+    """
+    _check_support(dsf_pos, tau)
+    delta = np.asarray(omegas, dtype=float)[:, None] - dsf_pos.omega[None, :]
+    kernel = 0.5 * tau * np.sinc(delta * tau / (2.0 * math.pi)) ** 2
+    weights = dsf_pos.total * _trapezoid_node_weights(dsf_pos.omega)
+    return (HBAR * q / 2.0) * (kernel @ weights)
 
 
 def _sine_term(pot: LateralPotential | None, params: Quasi1DParams,

@@ -27,7 +27,7 @@ from .errors import ConfigurationError, PhysicsDomainError
 from .species import AtomSpecies
 from .surface import LateralPotential, SurfaceConfig, lateral_eval
 
-DENSITY_POINTS_DEFAULT = 2**14
+DENSITY_POINTS_DEFAULT = 2049
 
 # "much smaller than" thresholds for the warn-only regime diagnostics.
 RATIO_SMALL = 0.1

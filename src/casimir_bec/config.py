@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 from .constants import TWO_PI, frequency_to_energy
-from .condensate import TrapConfig
+from .condensate import DENSITY_POINTS_DEFAULT, TrapConfig
 from .errors import ConfigurationError
 from .species import AtomSpecies, species_lookup
 from .surface import Corrugation, SurfaceConfig
@@ -129,7 +129,7 @@ class BraggSettings:
 
 @dataclass(frozen=True)
 class Numerics:
-    density_points: int = 2**14
+    density_points: int = DENSITY_POINTS_DEFAULT
     bdg_cutoff: int = 16
     bdg_bands: int = 8
     bdg_qpoints: int = 33
@@ -319,7 +319,7 @@ def parse_config_text(text: str, path: str = "<string>") -> RunConfig:
                 + ", ".join(missing)
             )
         if section == "numerics":
-            _check_bdg_numerics(keys, out, path, errors)
+            _check_numerics(keys, out, path, errors)
         values[section] = out
 
     if errors:
@@ -331,11 +331,26 @@ def parse_config_text(text: str, path: str = "<string>") -> RunConfig:
         raise ConfigurationError(f"{path}: {exc}") from None
 
 
-def _check_bdg_numerics(keys, out, path, errors: list[str]) -> None:
-    """Range checks on the BdG knobs, each reported at the line that set it."""
-    for key in ("bdg_cutoff", "bdg_qpoints", "bdg_bands"):
-        if out.get(key, 1) < 1:
-            errors.append(f"{path}:{keys[key].line}: [numerics] {key}: must be >= 1, got {out[key]}")
+# Smallest accepted value of each [numerics] knob: a BdG basis needs one
+# plane wave on each side and one q-point and band; a sampled table needs
+# two points; the DSF grid needs 8 (dsf_lda's own floor).
+_NUMERICS_MIN = {
+    "density_points": 2,
+    "bdg_cutoff": 1,
+    "bdg_bands": 1,
+    "bdg_qpoints": 1,
+    "omega_points": 8,
+    "time_points": 2,
+    "branch_points": 2,
+}
+
+
+def _check_numerics(keys, out, path, errors: list[str]) -> None:
+    """Range checks on the [numerics] knobs, each reported at the line that set it."""
+    for key, minimum in _NUMERICS_MIN.items():
+        if out.get(key, minimum) < minimum:
+            errors.append(f"{path}:{keys[key].line}: [numerics] {key}: "
+                          f"must be >= {minimum}, got {out[key]}")
     cutoff = out.get("bdg_cutoff", Numerics.bdg_cutoff)
     bands = out.get("bdg_bands", Numerics.bdg_bands)
     if cutoff >= 1 and bands > 2 * cutoff + 1:

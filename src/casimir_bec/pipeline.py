@@ -247,8 +247,7 @@ def run_scenario(config: RunConfig, command: str, out_dir) -> dict:
                             "peak_dPdt": float(np.max(np.abs(signal.dpdt)))}
 
     # Density profile accompanies every run for reference.
-    x, n1 = tf_axial_density(params, pot=None,
-                             n_points=min(config.numerics.density_points, 2049))
+    x, n1 = tf_axial_density(params, pot=None, n_points=config.numerics.density_points)
     emit("density_profile.csv", ["x_m", "x_um", "n1_per_m"],
          [[xi, xi * 1e6, ni] for xi, ni in zip(x, n1)])
 

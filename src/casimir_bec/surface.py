@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .constants import C, HBAR
 from .errors import ConfigurationError, ExtrapolationError, PhysicsDomainError
@@ -243,18 +242,27 @@ def load_tabulated_response(path: str) -> ResponseFunction:
             f"{path}: rows must be row-major with k and z strictly increasing"
         )
     values = np.array([r[2] for r in rows], dtype=float).reshape(len(k_axis), len(z_axis))
-    interp = RegularGridInterpolator(
-        (np.array(k_axis), np.array(z_axis)), values, method="linear", bounds_error=True
-    )
+    k_grid = np.array(k_axis)
+    z_grid = np.array(z_axis)
+
+    def cell(grid: np.ndarray, v: float) -> tuple[int, float]:
+        # Index of the cell [grid[i], grid[i+1]] holding v, and v's
+        # fractional position in it; the last node belongs to the last cell.
+        i = min(int(np.searchsorted(grid, v, side="right")) - 1, grid.size - 2)
+        return i, (v - grid[i]) / (grid[i + 1] - grid[i])
 
     def evaluate(k: float, z: float) -> float:
-        try:
-            return float(interp((k, z)))
-        except ValueError:
+        # Written so that NaN fails the test too.
+        if not (k_axis[0] <= k <= k_axis[-1] and z_axis[0] <= z <= z_axis[-1]):
             raise ExtrapolationError(
                 f"tabulated response queried at (k={k:.6g} rad/m, z={z:.6g} m) outside "
                 f"grid k in [{k_axis[0]:.6g}, {k_axis[-1]:.6g}], "
                 f"z in [{z_axis[0]:.6g}, {z_axis[-1]:.6g}]"
-            ) from None
+            )
+        i, tk = cell(k_grid, k)
+        j, tz = cell(z_grid, z)
+        lower = (1.0 - tz) * values[i, j] + tz * values[i, j + 1]
+        upper = (1.0 - tz) * values[i + 1, j] + tz * values[i + 1, j + 1]
+        return float((1.0 - tk) * lower + tk * upper)
 
     return ResponseFunction(evaluate=evaluate, provenance="tabulated")

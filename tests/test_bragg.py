@@ -1,12 +1,15 @@
 """DSF representations and the momentum-transfer observable."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
+from casimir_bec import bragg
 from casimir_bec import (
     RB87,
     BraggPulse,
@@ -24,7 +27,12 @@ from casimir_bec import (
     perturbative_gaps,
     suppression_factor,
 )
-from casimir_bec.benchmarks import default_lda_grid, longpulse_shape_deviation
+from casimir_bec.benchmarks import (
+    benchmark_params,
+    default_lda_grid,
+    longpulse_shape_deviation,
+)
+from casimir_bec.bragg import pulse_averaged_drive
 from casimir_bec.constants import HBAR
 
 
@@ -162,6 +170,87 @@ def test_lda_refinement_stability(params, q_1, u_1):
             assert coarse.total[idx] == pytest.approx(fine.total[j], rel=0.01)
 
 
+# Reference oracle: x* from a bracketing root solve of E(x) = hbar*w, one
+# bin at a time.
+
+
+def _brentq_sample_branch(q, params, u_abs, sign, omega):
+    """The per-bin root-solver form of bragg._sample_branch."""
+    half = params.half_length
+    t_q = free_kinetic_energy(q, RB87)
+    mu = params.mu_tilde
+    n_peak = params.peak_density
+
+    def e0_at(x):
+        return math.sqrt(t_q * (t_q + 2.0 * mu * max(0.0, 1.0 - (x / half) ** 2)))
+
+    def energy(x):
+        e0 = e0_at(x)
+        return e0 + sign * (t_q / (2.0 * e0)) * u_abs
+
+    def slope_abs(x):
+        e0 = e0_at(x)
+        de0 = 2.0 * t_q * mu * x / (half**2 * e0)
+        return de0 * abs(1.0 - sign * t_q * u_abs / (2.0 * e0**2))
+
+    def weight(x):
+        return n_peak * (1.0 - (x / half) ** 2) * t_q / e0_at(x)
+
+    e0_origin = e0_at(0.0)
+    curvature = (t_q * mu / (half**2 * e0_origin)) * (
+        1.0 - sign * t_q * u_abs / (2.0 * e0_origin**2))
+    e_top, e_bottom = energy(0.0), energy(half)
+    s = np.zeros_like(omega)
+    i_res = int(np.argmin(np.abs(omega - e_top / HBAR)))
+    amp = weight(0.0) / math.sqrt(curvature)
+    for i, w in enumerate(omega):
+        e_t = HBAR * w
+        if i == i_res or not e_bottom < e_t < e_top:
+            continue
+        x_star = brentq(lambda x: energy(x) - e_t, 0.0, half,
+                        xtol=half * 1e-14, rtol=8.9e-16)
+        s[i] = 2.0 * weight(x_star) / slope_abs(x_star)
+    half_bin = 0.5 * HBAR * bragg._trapezoid_node_weights(omega)[i_res]
+    if e_bottom < e_top - 0.25 * half_bin:
+        s[i_res] = amp / math.sqrt(min(half_bin, 0.5 * (e_top - e_bottom)))
+    inside = (HBAR * omega >= e_bottom) & (HBAR * omega < e_top)
+    inside[i_res] = False
+    e_regular = HBAR * omega[inside]
+    if e_regular.size >= 2:
+        regular, e_last = float(np.trapezoid(s[inside], e_regular)), float(e_regular[-1])
+    else:
+        regular, e_last = 0.0, e_bottom
+    return s, i_res, (e_bottom, e_top), regular + 2.0 * amp * math.sqrt(max(0.0, e_top - e_last))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(q_over_kmu=st.floats(0.03, 3.0), u_over_2tq=st.floats(0.0, 0.999),
+       n_points=st.integers(8, 4001))
+@example(q_over_kmu=0.11, u_over_2tq=0.02, n_points=4001)  # near the benchmark probe
+@example(q_over_kmu=3.0, u_over_2tq=0.999, n_points=4001)
+def test_closed_form_lda_matches_root_solver(q_over_kmu, u_over_2tq, n_points):
+    params = benchmark_params()
+    q = q_over_kmu * params.k_mu
+    u = u_over_2tq * 2.0 * free_kinetic_energy(q, RB87)
+    grid = default_lda_grid(params, q, u, n_points)
+    fast = dsf_lda(q, grid, params, u)
+    with mock.patch.object(bragg, "_sample_branch", _brentq_sample_branch):
+        slow = dsf_lda(q, grid, params, u)
+
+    assert fast.supports == slow.supports
+    assert fast.resonance_bins == slow.resonance_bins
+    np.testing.assert_allclose(fast.branch_weights, slow.branch_weights, rtol=1e-12)
+    for s_fast, s_slow, i_res, (lo, hi) in zip(
+            (fast.s_minus, fast.s_plus), (slow.s_minus, slow.s_plus),
+            fast.resonance_bins, fast.supports):
+        assert s_fast[i_res] == s_slow[i_res]  # the capped bin
+        # The root solver's xtol limits 1 - (x/half)^2 near the support
+        # bottom, so the tight check skips the lowest 1e-4 of the support.
+        bulk = HBAR * grid >= lo + 1e-4 * (hi - lo)
+        np.testing.assert_allclose(s_fast[bulk], s_slow[bulk], rtol=1e-9, atol=0.0)
+        np.testing.assert_allclose(s_fast, s_slow, rtol=1e-6, atol=0.0)
+
+
 def test_lda_weight_is_density_times_local_factor(params, q_1, u_1, dsf_ref):
     # hbar * integral S dw equals integral n1(x) T/E0(x) dx per branch
     t_q = free_kinetic_energy(q_1, RB87)
@@ -197,6 +286,27 @@ def test_signal_scales_with_vb_squared(params, q_1, dsf_ref):
 def test_signal_long_pulse_reads_dsf_shape(params, q_1, u_1):
     dev = longpulse_shape_deviation(params, u_1, q_1)
     assert dev < 0.05
+
+
+def test_pulse_average_matches_time_stepped_signal(params, q_1, dsf_ref):
+    # The trapezoid time average of bragg_signal converges to the exact
+    # pulse average as O(n_time^-2): 16x closer from 1024 to 4096 points.
+    e_b = bogoliubov_dispersion(q_1, params.mu_tilde, RB87)
+    tau = 100.0 * HBAR / e_b
+    probes = np.array([0.5, 0.8, 1.0]) * e_b / HBAR
+    exact = pulse_averaged_drive(probes, q_1, tau, dsf_ref)
+
+    def stepped_error(n_time):
+        stepped = []
+        for w in probes:
+            signal = bragg_signal(BraggPulse(q=q_1, omega=float(w), v_b=1.0, tau=tau),
+                                  dsf_ref, params, n_time=n_time)
+            stepped.append(float(np.trapezoid(signal.dpdt, signal.times)) / tau)
+        return float(np.max(np.abs(np.asarray(stepped) / exact - 1.0)))
+
+    coarse, fine = stepped_error(1024), stepped_error(4096)
+    assert fine <= 1e-6
+    assert 12.0 < coarse / fine < 20.0
 
 
 def test_signal_off_resonant_rejection(params, q_1, dsf_ref):

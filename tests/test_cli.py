@@ -94,6 +94,36 @@ def test_bdg_numerics_out_of_range_refused(tmp_path, capsys, numerics, key):
     assert f"bad.cfg:13: [numerics] {key}" in err  # the line that set it
 
 
+@pytest.mark.parametrize("numerics, key, command", [
+    ("time_points = 0", "time_points", "bragg"),
+    ("time_points = 1", "time_points", "bragg"),
+    ("branch_points = 0", "branch_points", "spectrum"),
+    ("branch_points = 1", "branch_points", "spectrum"),
+    ("density_points = 0", "density_points", "potential"),
+    ("density_points = 1", "density_points", "potential"),
+    ("omega_points = 7", "omega_points", "spectrum"),
+    ("omega_points = 7", "omega_points", "potential"),
+    ("omega_points = 0", "omega_points", "dsf"),
+])
+def test_numerics_out_of_range_refused(tmp_path, capsys, numerics, key, command):
+    lines = [line for line in CONFIG.split("\n") if not line.startswith(f"{key} =")]
+    config = tmp_path / "bad.cfg"
+    config.write_text("\n".join(lines).replace("[numerics]\n", f"[numerics]\n{numerics}\n"))
+    assert _run(command, str(config), tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert f"bad.cfg:13: [numerics] {key}: must be >=" in err  # the line that set it
+
+
+def test_density_points_honoured(config_path, tmp_path):
+    cfg = Path(config_path).read_text().replace("density_points = 512", "density_points = 4097")
+    cfg_path = tmp_path / "dense.cfg"
+    cfg_path.write_text(cfg)
+    assert _run("potential", str(cfg_path), tmp_path / "out") == 0
+    _, _, rows = read_csv(tmp_path / "out" / "density_profile.csv")
+    assert len(rows) == 4097
+
+
 def test_dsf_command_single_branch_for_flat_surface(config_path, tmp_path):
     flat = Path(config_path).read_text().replace("h = 1 um", "h = 0 um")
     flat_path = Path(config_path).with_name("flat.cfg")

@@ -1,12 +1,17 @@
 """Constants, unit conversions, species registry."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import scipy.constants
 from hypothesis import given
 from hypothesis import strategies as st
 
+import casimir_bec
 from casimir_bec import (
     CONST,
     ConfigurationError,
@@ -22,6 +27,19 @@ def test_constants_match_reference_values():
     assert CONST.c == scipy.constants.c
     assert CONST.k_B == scipy.constants.k
     assert CONST.eps0 == pytest.approx(scipy.constants.epsilon_0, rel=1e-9)
+
+
+def test_runtime_imports_leave_scipy_out():
+    # scipy is a test dependency only; importing it would cost every CLI
+    # call several tenths of a second.
+    code = ("import sys, casimir_bec.cli, casimir_bec.pipeline, casimir_bec.benchmarks; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(casimir_bec.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_energy_frequency_definition():

@@ -24,7 +24,7 @@ from casimir_bec import (
     response_perfect,
 )
 from casimir_bec.benchmarks import benchmark_surface
-from casimir_bec.emit import write_csv
+from casimir_bec.emit import read_csv, write_csv
 
 K_C = 2.0 * math.pi / 9.75e-6
 Z_CM = 3e-6
@@ -173,6 +173,45 @@ def test_tabulated_out_of_range(tmp_path):
         resp(0.5, 1.5)
     with pytest.raises(ExtrapolationError):
         resp(1.5, 2.5)
+
+
+def test_tabulated_matches_scipy_interpolator(tmp_path):
+    # scipy's RegularGridInterpolator is the reference for the bilinear
+    # lookup, on a non-uniform grid with a non-separable table.
+    from scipy.interpolate import RegularGridInterpolator
+
+    path = tmp_path / "resp.csv"
+    k_axis = np.array([1.0, 1.3, 2.2, 2.5, 4.0, 4.1, 6.0])
+    z_axis = np.array([0.5, 0.7, 1.6, 3.0, 3.2])
+    fn = lambda k, z: math.sin(k) * z**2 + k * z - 0.3 * k**2  # noqa: E731
+    _write_grid(path, k_axis, z_axis, fn)
+    resp = load_tabulated_response(str(path))
+    _, _, rows = read_csv(path)  # the table as written, at 10 significant digits
+    values = np.array([row[2] for row in rows]).reshape(k_axis.size, z_axis.size)
+    oracle = RegularGridInterpolator((k_axis, z_axis), values, method="linear",
+                                     bounds_error=True)
+    scale = float(np.max(np.abs(values)))
+
+    rng = np.random.default_rng(7)
+    interior = [(float(k), float(z)) for k, z in zip(rng.uniform(k_axis[0], k_axis[-1], 200),
+                                                     rng.uniform(z_axis[0], z_axis[-1], 200))]
+    nodes = [(float(k), float(z)) for k in k_axis for z in z_axis]
+    edges = [(float(k), float(z)) for k in (k_axis[0], k_axis[-1])
+             for z in np.linspace(z_axis[0], z_axis[-1], 9)]
+    edges += [(float(k), float(z)) for z in (z_axis[0], z_axis[-1])
+              for k in np.linspace(k_axis[0], k_axis[-1], 9)]
+    for k, z in interior + nodes + edges:
+        assert resp(k, z) == pytest.approx(float(oracle((k, z))), rel=1e-12,
+                                           abs=1e-14 * scale)
+
+    k_lo, k_hi, z_lo, z_hi = k_axis[0], k_axis[-1], z_axis[0], z_axis[-1]
+    outside = [(np.nextafter(k_lo, -np.inf), 2.0), (np.nextafter(k_hi, np.inf), 2.0),
+               (3.0, np.nextafter(z_lo, -np.inf)), (3.0, np.nextafter(z_hi, np.inf)),
+               (np.nextafter(k_lo, -np.inf), z_lo), (k_hi, np.nextafter(z_hi, np.inf)),
+               (math.nan, 2.0), (3.0, math.nan)]
+    for k, z in outside:
+        with pytest.raises(ExtrapolationError):
+            resp(k, z)
 
 
 def test_tabulated_malformed(tmp_path):
