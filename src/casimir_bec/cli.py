@@ -1,7 +1,9 @@
 """Command-line entry point.
 
-    casimir-bec <potential|spectrum|bdg|dsf|bragg> --config FILE --out DIR
+    casimir-bec <command> --config FILE --out DIR
     casimir-bec validate [--out DIR]
+
+The commands are the stages of ``pipeline.STAGES``.
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error.
 """
@@ -11,12 +13,13 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from pathlib import Path
 
 from .benchmarks import validate_reference
 from .config import parse_config
 from .emit import write_csv
 from .errors import CasimirBecError, ConfigurationError
-from .pipeline import COMMANDS, run_scenario
+from .pipeline import STAGES, run_scenario
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -26,15 +29,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "Bragg-spectroscopy observables",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "potential": "lateral Casimir potential coefficients and profile",
-        "spectrum": "perturbative gaps and zone-edge branches",
-        "bdg": "exact Bogoliubov-de Gennes bands and oracle comparison",
-        "dsf": "LDA dynamic structure factor at the probe wavenumber",
-        "bragg": "momentum-transfer time series for the configured pulse",
-    }
-    for command in COMMANDS:
-        p = sub.add_parser(command, help=helps[command])
+    for command, (help_text, _) in STAGES.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", required=True, help="run configuration file")
         p.add_argument("--out", required=True, help="output directory for tables")
     v = sub.add_parser("validate", help="recompute the built-in reference table")
@@ -68,8 +64,6 @@ def main(argv=None) -> int:
         print(f"# {sum(r.passed for r in table.rows)}/{len(table.rows)} rows pass "
               f"in {elapsed:.1f} s")
         if args.out is not None:
-            from pathlib import Path
-
             out = Path(args.out)
             out.mkdir(parents=True, exist_ok=True)
             write_csv(out / "validation_table.csv",

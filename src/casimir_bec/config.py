@@ -318,8 +318,7 @@ def parse_config_text(text: str, path: str = "<string>") -> RunConfig:
                 f"{path}:{section_lines[section]}: [{section}] missing required keys: "
                 + ", ".join(missing)
             )
-        if section == "numerics":
-            _check_numerics(keys, out, path, errors)
+        _check_ranges(section, keys, out, path, errors)
         values[section] = out
 
     if errors:
@@ -331,26 +330,38 @@ def parse_config_text(text: str, path: str = "<string>") -> RunConfig:
         raise ConfigurationError(f"{path}: {exc}") from None
 
 
-# Smallest accepted value of each [numerics] knob: a BdG basis needs one
-# plane wave on each side and one q-point and band; a sampled table needs
-# two points; the DSF grid needs 8 (dsf_lda's own floor).
-_NUMERICS_MIN = {
-    "density_points": 2,
-    "bdg_cutoff": 1,
-    "bdg_bands": 1,
-    "bdg_qpoints": 1,
-    "omega_points": 8,
-    "time_points": 2,
-    "branch_points": 2,
+# Lower bound of each range-checked key, as (minimum, whether the minimum
+# itself is refused).  A BdG basis needs one plane wave on each side and one
+# q-point and band; a sampled table needs two points; the DSF grid needs 8
+# (dsf_lda's own floor).  The probe needs a positive wavenumber and pulse
+# length; harmonic n probes q = n*k_c/2.  A wavelength sets k_c = 2*pi/lambda.
+_MINIMUM = {
+    "surface": {"lambda_c": (0, True), "lambda_c2": (0, True)},
+    "numerics": {
+        "density_points": (2, False),
+        "bdg_cutoff": (1, False),
+        "bdg_bands": (1, False),
+        "bdg_qpoints": (1, False),
+        "omega_points": (8, False),
+        "time_points": (2, False),
+        "branch_points": (2, False),
+    },
+    "bragg": {
+        "harmonic": (1, False),
+        "q": (0, True),
+        "tau": (0, True),
+    },
 }
 
 
-def _check_numerics(keys, out, path, errors: list[str]) -> None:
-    """Range checks on the [numerics] knobs, each reported at the line that set it."""
-    for key, minimum in _NUMERICS_MIN.items():
-        if out.get(key, minimum) < minimum:
-            errors.append(f"{path}:{keys[key].line}: [numerics] {key}: "
-                          f"must be >= {minimum}, got {out[key]}")
+def _check_ranges(section, keys, out, path, errors: list[str]) -> None:
+    """Range checks from _MINIMUM, each reported at the line that set the key."""
+    for key, (minimum, strict) in _MINIMUM.get(section, {}).items():
+        if key in out and (out[key] <= minimum if strict else out[key] < minimum):
+            errors.append(f"{path}:{keys[key].line}: [{section}] {key}: "
+                          f"must be {'>' if strict else '>='} {minimum}, got {keys[key].text}")
+    if section != "numerics":
+        return
     cutoff = out.get("bdg_cutoff", Numerics.bdg_cutoff)
     bands = out.get("bdg_bands", Numerics.bdg_bands)
     if cutoff >= 1 and bands > 2 * cutoff + 1:
@@ -362,24 +373,23 @@ def _check_numerics(keys, out, path, errors: list[str]) -> None:
 def _assemble(values, custom_species, path) -> RunConfig:
     sp_section = dict(values.get("species", {}))
     name = str(sp_section.pop("name", "rb87"))
-    overrides = {k: v for k, v in sp_section.items()}
     if name.lower() in custom_species:
         base = custom_species[name.lower()]
-        species = base if not overrides else species_lookup(
-            name, **{**{f: getattr(base, f) for f in _SPECIES_FIELD_KINDS}, **overrides}
+        species = base if not sp_section else species_lookup(
+            name, **{**{f: getattr(base, f) for f in _SPECIES_FIELD_KINDS}, **sp_section}
         )
     else:
-        species = species_lookup(name, **overrides)
+        species = species_lookup(name, **sp_section)
 
-    trap_v = values["trap"]
-    trap = TrapConfig(
-        omega_r=trap_v["omega_r"],
-        omega_x=trap_v["omega_x"],
-        atom_number=trap_v["atoms"],
-        u_n_offset=trap_v.get("u_n_offset", 0.0),
-    )
+    # Only keys the file set are passed on: each default lives in its dataclass.
+    # t_bec and t_env are read from [trap] and [surface] but belong to the run.
+    trap_v = dict(values["trap"])
+    surf_v = dict(values["surface"])
+    run_v = {key: section.pop(key)
+             for section, key in ((trap_v, "t_bec"), (surf_v, "t_env")) if key in section}
+    trap_v["atom_number"] = trap_v.pop("atoms")
+    trap = TrapConfig(**trap_v)
 
-    surf_v = values["surface"]
     fundamentals = []
     for lam_key, k_key, h_key in (("lambda_c", "k_c", "h"), ("lambda_c2", "k_c2", "h2")):
         has_lam, has_k = lam_key in surf_v, k_key in surf_v
@@ -398,29 +408,15 @@ def _assemble(values, custom_species, path) -> RunConfig:
     surface = SurfaceConfig(
         fundamentals=tuple(fundamentals),
         z_cm=surf_v["z_cm"],
-        eta_f=surf_v.get("eta_f", 1.0),
-        response_file=surf_v.get("response_file"),
+        **{key: surf_v[key] for key in ("eta_f", "response_file") if key in surf_v},
     )
-
-    bragg_v = values.get("bragg", {})
-    bragg = BraggSettings(
-        harmonic=bragg_v.get("harmonic", 1),
-        q=bragg_v.get("q"),
-        omega=bragg_v.get("omega"),
-        v_b=bragg_v.get("v_b", 1.0),
-        tau=bragg_v.get("tau"),
-    )
-
-    num_v = values.get("numerics", {})
-    numerics = Numerics(**{k: v for k, v in num_v.items()})
 
     return RunConfig(
         species=species,
         trap=trap,
         surface=surface,
-        bragg=bragg,
-        numerics=numerics,
-        t_env=surf_v.get("t_env", 300.0),
-        t_bec=trap_v.get("t_bec", 1e-9),
+        bragg=BraggSettings(**values.get("bragg", {})),
+        numerics=Numerics(**values.get("numerics", {})),
         path=path,
+        **run_v,
     )

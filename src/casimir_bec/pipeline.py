@@ -1,4 +1,14 @@
-"""Scenario orchestration: one command = one module pipeline + tables."""
+"""Scenario orchestration: one command = one stage function + its tables.
+
+``STAGES`` maps each command to ``(help text, stage)``; the CLI builds its
+subcommands from it.  ``stage(config, params, pot)`` computes and writes
+nothing.  It returns ``(tables, sections)``: each table is ``(file name,
+columns, rows, metadata)`` as ``emit.write_csv`` takes it, and sections are
+top-level ``summary.json`` entries.  ``run_scenario`` resolves the cloud,
+the lateral potential and the regime report once, runs the stage, appends
+the density table every run carries, and only then writes every table and
+the summary, so a stage that raises leaves no file behind.
+"""
 
 from __future__ import annotations
 
@@ -23,20 +33,22 @@ from .errors import ConfigurationError
 from .spectrum import band_branches, perturbative_gaps
 from .surface import lateral_coefficients, lateral_eval, load_tabulated_response
 
-COMMANDS = ("potential", "spectrum", "bdg", "dsf", "bragg")
+_GAP_COLUMNS = ("fundamental", "harmonic", "q_n_radpm", "U_J", "F_qn",
+                "gap_J", "gap_over_2pihbar_Hz", "gap_over_EB")
 
 
-def _resolve(config: RunConfig):
-    params = derive_quasi1d(config.trap, config.species)
-    response = None
-    if config.surface.response_file is not None:
-        response = load_tabulated_response(config.surface.response_file)
-    pot = lateral_coefficients(config.surface, config.species, response)
-    return params, pot
+def _gaps(params, pot):
+    """Perturbative gaps and the ``gaps`` summary section; the section's
+    rows are the rows of gap_table.csv keyed by its columns."""
+    gaps = perturbative_gaps(params, pot)
+    rows = [[e.fundamental, e.harmonic, e.q_n, e.u_n, e.f_qn, e.gap,
+             energy_to_frequency(e.gap), e.gap_over_eb] for e in gaps.entries]
+    return gaps, rows, {"gaps": [dict(zip(_GAP_COLUMNS, row)) for row in rows]}
 
 
-def _bragg_geometry(config: RunConfig, pot):
-    """(q, u_matched) for the probe: explicit q, or harmonic * k_c/2."""
+def _probe_dsf(config: RunConfig, params, pot):
+    """(q, U matched at q, LDA structure factor) for the probe: explicit q,
+    or harmonic * k_c/2."""
     settings = config.bragg
     if settings.q is not None:
         q = settings.q
@@ -50,23 +62,148 @@ def _bragg_geometry(config: RunConfig, pot):
                 break
         if u_matched != 0.0:
             break
-    return q, u_matched
+    grid = default_lda_grid(params, q, abs(u_matched), n_points=config.numerics.omega_points)
+    return q, u_matched, dsf_lda(q, grid, params, u_matched)
+
+
+def _potential_stage(config: RunConfig, params, pot):
+    lam_max = max(c.wavelength for c in config.surface.fundamentals)
+    x = np.linspace(0.0, lam_max, 513)
+    u_x = lateral_eval(pot, x)
+    return [
+        ("potential_coefficients.csv",
+         ["fundamental", "k_c_radpm", "harmonic", "k_radpm", "U_J", "U_over_2pihbar_Hz"],
+         [[i, comp.k_c, n, n * comp.k_c, u, energy_to_frequency(u)]
+          for i, comp in enumerate(pot.components)
+          for n, u in enumerate(comp.coefficients, start=1)],
+         {"z_cm_m": config.surface.z_cm, "material": config.surface.material}),
+        ("potential_profile.csv", ["x_m", "x_um", "U_J", "U_over_2pihbar_Hz"],
+         [[xi, xi * 1e6, ui, energy_to_frequency(ui)] for xi, ui in zip(x, u_x)], {}),
+    ], {}
+
+
+def _spectrum_stage(config: RunConfig, params, pot):
+    gaps, gap_rows, sections = _gaps(params, pot)
+    rows = []
+    for entry in gaps.entries:
+        slice_ = band_branches(params, pot, harmonic=entry.harmonic,
+                               fundamental=entry.fundamental,
+                               detunings=np.linspace(-entry.k_c / 4.0, entry.k_c / 4.0,
+                                                     config.numerics.branch_points))
+        for eps, em, ep in zip(slice_.detunings, slice_.e_minus, slice_.e_plus):
+            rows.append([entry.fundamental, entry.harmonic, entry.q_n + eps,
+                         em, ep, energy_to_frequency(em), energy_to_frequency(ep)])
+    return [
+        ("gap_table.csv", _GAP_COLUMNS, gap_rows, {}),
+        ("band_branches.csv",
+         ["fundamental", "harmonic", "q_radpm", "E_minus_J", "E_plus_J",
+          "E_minus_Hz", "E_plus_Hz"], rows, {}),
+    ], sections
+
+
+def _bdg_stage(config: RunConfig, params, pot):
+    gaps, _, sections = _gaps(params, pot)
+    k_base, _ = bdg_mod.reduce_to_common_base(pot)
+    q_grid = np.linspace(-k_base / 2.0, k_base / 2.0, config.numerics.bdg_qpoints)
+    bands = bdg_mod.solve_bdg_bands(
+        params.mu_tilde, config.species, pot, q_grid=q_grid,
+        cutoff=config.numerics.bdg_cutoff, n_bands=config.numerics.bdg_bands,
+        check_convergence=True,
+    )
+    comparison = bdg_mod.oracle_compare(gaps, bands)
+    sections["oracle_compare"] = {
+        "all_pass": comparison.all_pass,
+        "rows": [
+            {"fundamental": r.fundamental, "harmonic": r.harmonic,
+             "rel_deviation": r.rel_deviation, "tolerance": r.tolerance,
+             "passed": r.passed} for r in comparison.rows
+        ],
+    }
+    sections["bdg"] = {"cutoff_M": bands.cutoff, "converged": bands.converged,
+                       "drift_vs_coarser": bands.drift_vs_coarser}
+    return [
+        ("bdg_bands.csv", ["q_bloch_radpm", "band", "E_J", "E_over_2pihbar_Hz"],
+         [[q_b, j, bands.bands[i, j], energy_to_frequency(bands.bands[i, j])]
+          for i, q_b in enumerate(bands.q_grid) for j in range(bands.bands.shape[1])],
+         {"cutoff_M": bands.cutoff, "k_base_radpm": bands.k_base,
+          "drift_vs_coarser": bands.drift_vs_coarser, "converged": bands.converged}),
+        ("bdg_gaps.csv",
+         ["fundamental", "harmonic", "q_n_radpm", "E_lower_J", "E_upper_J",
+          "gap_J", "gap_over_2pihbar_Hz"],
+         [[g.fundamental, g.harmonic, g.q_n, g.e_lower, g.e_upper, g.gap,
+           energy_to_frequency(g.gap)] for g in bands.zone_edge_gaps], {}),
+        ("oracle_compare.csv",
+         ["fundamental", "harmonic", "q_n_radpm", "gap_perturbative_J",
+          "gap_numeric_J", "rel_deviation", "tolerance", "status"],
+         [[r.fundamental, r.harmonic, r.q_n, r.gap_perturbative, r.gap_numeric,
+           r.rel_deviation, r.tolerance, "pass" if r.passed else "FAIL"]
+          for r in comparison.rows], {}),
+    ], sections
+
+
+def _dsf_stage(config: RunConfig, params, pot):
+    q, u_matched, spectrum = _probe_dsf(config, params, pot)
+    flags = np.zeros(len(spectrum.omega), dtype=int)
+    flags[list(spectrum.resonance_bins)] = 1
+    energies = spectrum.resonance_energies
+    return [
+        ("dsf.csv",
+         ["omega_radps", "omega_over_2pi_Hz", "S_minus_arb", "S_plus_arb", "resonance_flag"],
+         [[w, w / (2.0 * math.pi), sm, sp, int(fl)]
+          for w, sm, sp, fl in zip(spectrum.omega, spectrum.s_minus, spectrum.s_plus, flags)],
+         {"q_radpm": q,
+          "kind": spectrum.kind,
+          "branches": len(spectrum.supports),
+          "marker_energies_J": ";".join(f"{e:.9e}" for e in energies),
+          "branch_weights": ";".join(f"{w:.9e}" for w in spectrum.branch_weights)}),
+    ], {"dsf": {
+        "q_radpm": q,
+        "matched_U_J": u_matched,
+        "single_branch": len(spectrum.supports) == 1,
+        "marker_energies_J": list(energies),
+        "marker_separation_J": energies[-1] - energies[0] if len(energies) > 1 else 0.0,
+        "branch_weights": list(spectrum.branch_weights),
+    }}
+
+
+def _bragg_stage(config: RunConfig, params, pot):
+    q, _, spectrum = _probe_dsf(config, params, pot)
+    e_b = bogoliubov_dispersion(q, params.mu_tilde, config.species)
+    omega = config.bragg.omega if config.bragg.omega is not None else e_b / HBAR
+    tau = config.bragg.tau if config.bragg.tau is not None else 100.0 * HBAR / e_b
+    pulse = BraggPulse(q=q, omega=omega, v_b=config.bragg.v_b, tau=tau)
+    signal = bragg_signal(pulse, spectrum, params, pot=pot, n_time=config.numerics.time_points)
+    probe = {"q_radpm": q, "omega_radps": omega, "tau_s": tau}
+    return [
+        ("bragg_signal.csv",
+         ["t_s", "dPdt_total", "dPdt_drive", "dPdt_trap", "dPdt_sine", "P_X"],
+         [list(row) for row in zip(signal.times, signal.dpdt, signal.dpdt_drive,
+                                   signal.dpdt_trap, signal.dpdt_sine, signal.p_x)],
+         {**probe, "v_b": config.bragg.v_b}),
+    ], {"bragg": {**probe, "peak_dPdt": float(np.max(np.abs(signal.dpdt)))}}
+
+
+STAGES = {
+    "potential": ("lateral Casimir potential coefficients and profile", _potential_stage),
+    "spectrum": ("perturbative gaps and zone-edge branches", _spectrum_stage),
+    "bdg": ("exact Bogoliubov-de Gennes bands and oracle comparison", _bdg_stage),
+    "dsf": ("LDA dynamic structure factor at the probe wavenumber", _dsf_stage),
+    "bragg": ("momentum-transfer time series for the configured pulse", _bragg_stage),
+}
 
 
 def _summary_base(config: RunConfig, command: str, params, pot, report):
-    def species_dict(sp):
-        return {
+    sp = config.species
+    return {
+        "command": command,
+        "config_path": config.path,
+        "species": {
             "name": sp.name,
             "mass_kg": sp.mass,
             "scattering_length_m": sp.scattering_length,
             "polarizability_volume_m3": sp.polarizability_volume,
             "transition_wavelength_m": sp.transition_wavelength,
-        }
-
-    return {
-        "command": command,
-        "config_path": config.path,
-        "species": species_dict(config.species),
+        },
         "trap": {
             "omega_r_radps": config.trap.omega_r,
             "omega_x_radps": config.trap.omega_x,
@@ -101,165 +238,30 @@ def _summary_base(config: RunConfig, command: str, params, pot, report):
             for n, u in enumerate(comp.coefficients, start=1)
         ],
         "regime": report.to_rows(),
-        "files": [],
     }
 
 
 def run_scenario(config: RunConfig, command: str, out_dir) -> dict:
-    """Run one command pipeline, emit its tables, return the summary."""
-    if command not in COMMANDS:
-        raise ConfigurationError(f"unknown command {command!r}; pick one of {COMMANDS}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    params, pot = _resolve(config)
+    """Run one command's stage, write its tables and summary.json, return the summary."""
+    if command not in STAGES:
+        raise ConfigurationError(f"unknown command {command!r}; pick one of {tuple(STAGES)}")
+    params = derive_quasi1d(config.trap, config.species)
+    response = None
+    if config.surface.response_file is not None:
+        response = load_tabulated_response(config.surface.response_file)
+    pot = lateral_coefficients(config.surface, config.species, response)
     report = regime_check(params, config.surface, t_env=config.t_env, t_bec=config.t_bec)
     summary = _summary_base(config, command, params, pot, report)
-    files: list[str] = []
-
-    def emit(name, columns, rows, metadata=None):
-        write_csv(out / name, columns, rows, metadata)
-        files.append(name)
-
-    if command == "potential":
-        emit("potential_coefficients.csv",
-             ["fundamental", "k_c_radpm", "harmonic", "k_radpm", "U_J", "U_over_2pihbar_Hz"],
-             [[i, comp.k_c, n, n * comp.k_c, u, energy_to_frequency(u)]
-              for i, comp in enumerate(pot.components)
-              for n, u in enumerate(comp.coefficients, start=1)],
-             metadata={"z_cm_m": config.surface.z_cm, "material": config.surface.material})
-        lam_max = max(c.wavelength for c in config.surface.fundamentals)
-        x = np.linspace(0.0, lam_max, 513)
-        u_x = lateral_eval(pot, x)
-        emit("potential_profile.csv", ["x_m", "x_um", "U_J", "U_over_2pihbar_Hz"],
-             [[xi, xi * 1e6, ui, energy_to_frequency(ui)] for xi, ui in zip(x, u_x)])
-
-    elif command == "spectrum":
-        gaps = perturbative_gaps(params, pot)
-        summary["gaps"] = _gap_rows(gaps)
-        emit("gap_table.csv",
-             ["fundamental", "harmonic", "q_n_radpm", "U_J", "F_qn",
-              "gap_J", "gap_over_2pihbar_Hz", "gap_over_EB"],
-             [[e.fundamental, e.harmonic, e.q_n, e.u_n, e.f_qn, e.gap,
-               energy_to_frequency(e.gap), e.gap_over_eb] for e in gaps.entries])
-        rows = []
-        for entry in gaps.entries:
-            slice_ = band_branches(params, pot, harmonic=entry.harmonic,
-                                   fundamental=entry.fundamental,
-                                   detunings=np.linspace(-entry.k_c / 4.0, entry.k_c / 4.0,
-                                                         config.numerics.branch_points))
-            for eps, em, ep in zip(slice_.detunings, slice_.e_minus, slice_.e_plus):
-                rows.append([entry.fundamental, entry.harmonic, entry.q_n + eps,
-                             em, ep, energy_to_frequency(em), energy_to_frequency(ep)])
-        emit("band_branches.csv",
-             ["fundamental", "harmonic", "q_radpm", "E_minus_J", "E_plus_J",
-              "E_minus_Hz", "E_plus_Hz"], rows)
-
-    elif command == "bdg":
-        gaps = perturbative_gaps(params, pot)
-        summary["gaps"] = _gap_rows(gaps)
-        k_base, _ = bdg_mod.reduce_to_common_base(pot)
-        q_grid = np.linspace(-k_base / 2.0, k_base / 2.0, config.numerics.bdg_qpoints)
-        bands = bdg_mod.solve_bdg_bands(
-            params.mu_tilde, config.species, pot, q_grid=q_grid,
-            cutoff=config.numerics.bdg_cutoff, n_bands=config.numerics.bdg_bands,
-            check_convergence=True,
-        )
-        emit("bdg_bands.csv", ["q_bloch_radpm", "band", "E_J", "E_over_2pihbar_Hz"],
-             [[q_b, j, bands.bands[i, j], energy_to_frequency(bands.bands[i, j])]
-              for i, q_b in enumerate(bands.q_grid) for j in range(bands.bands.shape[1])],
-             metadata={"cutoff_M": bands.cutoff, "k_base_radpm": bands.k_base,
-                       "drift_vs_coarser": bands.drift_vs_coarser,
-                       "converged": bands.converged})
-        emit("bdg_gaps.csv",
-             ["fundamental", "harmonic", "q_n_radpm", "E_lower_J", "E_upper_J",
-              "gap_J", "gap_over_2pihbar_Hz"],
-             [[g.fundamental, g.harmonic, g.q_n, g.e_lower, g.e_upper, g.gap,
-               energy_to_frequency(g.gap)] for g in bands.zone_edge_gaps])
-        comparison = bdg_mod.oracle_compare(gaps, bands)
-        emit("oracle_compare.csv",
-             ["fundamental", "harmonic", "q_n_radpm", "gap_perturbative_J",
-              "gap_numeric_J", "rel_deviation", "tolerance", "status"],
-             [[r.fundamental, r.harmonic, r.q_n, r.gap_perturbative, r.gap_numeric,
-               r.rel_deviation, r.tolerance, "pass" if r.passed else "FAIL"]
-              for r in comparison.rows])
-        summary["oracle_compare"] = {
-            "all_pass": comparison.all_pass,
-            "rows": [
-                {"fundamental": r.fundamental, "harmonic": r.harmonic,
-                 "rel_deviation": r.rel_deviation, "tolerance": r.tolerance,
-                 "passed": r.passed} for r in comparison.rows
-            ],
-        }
-        summary["bdg"] = {"cutoff_M": bands.cutoff, "converged": bands.converged,
-                          "drift_vs_coarser": bands.drift_vs_coarser}
-
-    elif command == "dsf":
-        q, u_matched = _bragg_geometry(config, pot)
-        grid = default_lda_grid(params, q, abs(u_matched),
-                                n_points=config.numerics.omega_points)
-        spectrum = dsf_lda(q, grid, params, u_matched)
-        flags = np.zeros(len(grid), dtype=int)
-        for b in spectrum.resonance_bins:
-            flags[b] = 1
-        emit("dsf.csv",
-             ["omega_radps", "omega_over_2pi_Hz", "S_minus_arb", "S_plus_arb",
-              "resonance_flag"],
-             [[w, w / (2.0 * math.pi), sm, sp, int(fl)]
-              for w, sm, sp, fl in zip(spectrum.omega, spectrum.s_minus,
-                                       spectrum.s_plus, flags)],
-             metadata={
-                 "q_radpm": q,
-                 "kind": spectrum.kind,
-                 "branches": len(spectrum.supports),
-                 "marker_energies_J": ";".join(f"{e:.9e}" for e in spectrum.resonance_energies),
-                 "branch_weights": ";".join(f"{w:.9e}" for w in spectrum.branch_weights),
-             })
-        summary["dsf"] = {
-            "q_radpm": q,
-            "matched_U_J": u_matched,
-            "single_branch": len(spectrum.supports) == 1,
-            "marker_energies_J": list(spectrum.resonance_energies),
-            "marker_separation_J": (
-                spectrum.resonance_energies[-1] - spectrum.resonance_energies[0]
-                if len(spectrum.resonance_energies) > 1 else 0.0),
-            "branch_weights": list(spectrum.branch_weights),
-        }
-
-    elif command == "bragg":
-        q, u_matched = _bragg_geometry(config, pot)
-        e_b = bogoliubov_dispersion(q, params.mu_tilde, config.species)
-        omega = config.bragg.omega if config.bragg.omega is not None else e_b / HBAR
-        tau = config.bragg.tau if config.bragg.tau is not None else 100.0 * HBAR / e_b
-        pulse = BraggPulse(q=q, omega=omega, v_b=config.bragg.v_b, tau=tau)
-        grid = default_lda_grid(params, q, abs(u_matched),
-                                n_points=config.numerics.omega_points)
-        spectrum = dsf_lda(q, grid, params, u_matched)
-        signal = bragg_signal(pulse, spectrum, params, pot=pot,
-                              n_time=config.numerics.time_points)
-        emit("bragg_signal.csv",
-             ["t_s", "dPdt_total", "dPdt_drive", "dPdt_trap", "dPdt_sine", "P_X"],
-             [[t, d, dd, dt_, ds, p] for t, d, dd, dt_, ds, p in zip(
-                 signal.times, signal.dpdt, signal.dpdt_drive, signal.dpdt_trap,
-                 signal.dpdt_sine, signal.p_x)],
-             metadata={"q_radpm": q, "omega_radps": omega, "tau_s": tau,
-                       "v_b": config.bragg.v_b})
-        summary["bragg"] = {"q_radpm": q, "omega_radps": omega, "tau_s": tau,
-                            "peak_dPdt": float(np.max(np.abs(signal.dpdt)))}
-
-    # Density profile accompanies every run for reference.
+    tables, sections = STAGES[command][1](config, params, pot)
+    summary.update(sections)
     x, n1 = tf_axial_density(params, pot=None, n_points=config.numerics.density_points)
-    emit("density_profile.csv", ["x_m", "x_um", "n1_per_m"],
-         [[xi, xi * 1e6, ni] for xi, ni in zip(x, n1)])
+    tables.append(("density_profile.csv", ["x_m", "x_um", "n1_per_m"],
+                   [[xi, xi * 1e6, ni] for xi, ni in zip(x, n1)], {}))
 
-    summary["files"] = sorted(files + ["summary.json"])
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, columns, rows, metadata in tables:
+        write_csv(out / name, columns, rows, metadata)
+    summary["files"] = sorted([name for name, *_ in tables] + ["summary.json"])
     write_json(out / "summary.json", summary)
     return summary
-
-
-def _gap_rows(gaps):
-    return [
-        {"fundamental": e.fundamental, "harmonic": e.harmonic, "q_n_radpm": e.q_n,
-         "U_J": e.u_n, "F_qn": e.f_qn, "gap_J": e.gap,
-         "gap_over_2pihbar_Hz": energy_to_frequency(e.gap), "gap_over_EB": e.gap_over_eb}
-        for e in gaps.entries
-    ]

@@ -1,9 +1,14 @@
 """CLI commands, emitted tables, determinism."""
 
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from casimir_bec.cli import main
 from casimir_bec.emit import read_csv
@@ -34,6 +39,16 @@ def config_path(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(CONFIG)
     return str(path)
+
+
+# The tables each command writes, besides density_profile.csv and summary.json.
+COMMAND_FILES = {
+    "potential": ["potential_coefficients.csv", "potential_profile.csv"],
+    "spectrum": ["gap_table.csv", "band_branches.csv"],
+    "bdg": ["bdg_bands.csv", "bdg_gaps.csv", "oracle_compare.csv"],
+    "dsf": ["dsf.csv"],
+    "bragg": ["bragg_signal.csv"],
+}
 
 
 def _run(command, config_path, out):
@@ -104,15 +119,31 @@ def test_bdg_numerics_out_of_range_refused(tmp_path, capsys, numerics, key):
     ("omega_points = 7", "omega_points", "spectrum"),
     ("omega_points = 7", "omega_points", "potential"),
     ("omega_points = 0", "omega_points", "dsf"),
+    ("harmonic = 0", "harmonic", "bragg"),
+    ("harmonic = 0", "harmonic", "dsf"),
+    ("harmonic = -1", "harmonic", "bragg"),
+    ("harmonic = -1", "harmonic", "dsf"),
+    ("q = 0 rad/um", "q", "bragg"),
+    ("q = 0 rad/um", "q", "dsf"),
+    ("q = -0.3 rad/um", "q", "bragg"),
+    ("q = -0.3 rad/um", "q", "dsf"),
+    ("tau = 0 s", "tau", "bragg"),
+    ("tau = 0 s", "tau", "dsf"),
 ])
 def test_numerics_out_of_range_refused(tmp_path, capsys, numerics, key, command):
+    # A [bragg] key goes into a [bragg] section that takes the [numerics]
+    # header's line, so the offending key sits on line 13 either way.
+    section = "bragg" if key in ("harmonic", "q", "tau") else "numerics"
+    insert = f"[{section}]\n{numerics}\n" + ("[numerics]\n" if section == "bragg" else "")
     lines = [line for line in CONFIG.split("\n") if not line.startswith(f"{key} =")]
     config = tmp_path / "bad.cfg"
-    config.write_text("\n".join(lines).replace("[numerics]\n", f"[numerics]\n{numerics}\n"))
+    config.write_text("\n".join(lines).replace("[numerics]\n", insert))
     assert _run(command, str(config), tmp_path / "o") == 2
     err = capsys.readouterr().err
     assert "configuration error" in err
-    assert f"bad.cfg:13: [numerics] {key}: must be >=" in err  # the line that set it
+    bound = ">" if key in ("q", "tau") else ">="
+    assert f"bad.cfg:13: [{section}] {key}: must be {bound} " in err  # the line that set it
+    assert not (tmp_path / "o").exists()
 
 
 def test_density_points_honoured(config_path, tmp_path):
@@ -138,10 +169,12 @@ def test_dsf_command_single_branch_for_flat_surface(config_path, tmp_path):
 
 
 def test_all_commands_round_trip_their_tables(config_path, tmp_path):
-    for command in ("potential", "spectrum", "bdg", "dsf", "bragg"):
+    for command, tables in COMMAND_FILES.items():
         out = tmp_path / command
         assert _run(command, config_path, out) == 0
         summary = json.loads((out / "summary.json").read_text())
+        assert summary["files"] == sorted(tables + ["density_profile.csv", "summary.json"])
+        assert sorted(p.name for p in out.iterdir()) == summary["files"]
         for name in summary["files"]:
             if name.endswith(".csv"):
                 _, columns, rows = read_csv(out / name)
@@ -151,11 +184,14 @@ def test_all_commands_round_trip_their_tables(config_path, tmp_path):
 
 
 def test_determinism_byte_identical(config_path, tmp_path):
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert _run("spectrum", config_path, out1) == 0
-    assert _run("spectrum", config_path, out2) == 0
-    for name in sorted(p.name for p in out1.iterdir()):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    for command in COMMAND_FILES:
+        out1, out2 = tmp_path / command / "a", tmp_path / command / "b"
+        assert _run(command, config_path, out1) == 0
+        assert _run(command, config_path, out2) == 0
+        names = sorted(p.name for p in out1.iterdir())
+        assert names == sorted(p.name for p in out2.iterdir())
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 def test_bad_config_exit_code(tmp_path, capsys):
@@ -179,6 +215,7 @@ def test_runtime_error_exit_code(tmp_path, capsys):
     code = main(["dsf", "--config", str(config), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "dsf:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()  # a refused run writes no file
 
 
 def test_validate_command_exit_codes(tmp_path, capsys, monkeypatch):
@@ -218,3 +255,59 @@ def test_tabulated_response_config(config_path, tmp_path):
     _, columns, rows = read_csv(out / "potential_coefficients.csv")
     u_hz = abs(rows[0][columns.index("U_over_2pihbar_Hz")])
     assert u_hz == pytest.approx(0.22, rel=0.12)
+
+
+# Per fuzzed key: (unit, in-range values, edge or out-of-range values).
+_FUZZ_KEYS = {
+    ("trap", "omega_r"): ("kHz", st.floats(0.5, 10.0), st.sampled_from([0.0, -2.7])),
+    ("trap", "omega_x"): ("Hz", st.floats(0.2, 10.0), st.sampled_from([0.0, -0.83])),
+    ("trap", "atoms"): ("", st.floats(1e3, 1e5), st.sampled_from([0.0, 0.5, 1.0, 1e8])),
+    ("trap", "u_n_offset"): ("Hz", st.floats(-20.0, 20.0), st.sampled_from([-1e4, 1e4])),
+    ("surface", "z_cm"): ("um", st.floats(1.0, 10.0), st.sampled_from([0.0, -1.0, 0.05])),
+    ("surface", "lambda_c"): ("um", st.floats(2.0, 20.0), st.sampled_from([0.0, -3.0, 1e-3])),
+    ("surface", "h"): ("um", st.lists(st.floats(0.0, 0.3), min_size=1, max_size=3).map(
+        lambda hs: ", ".join(map(str, hs))), st.sampled_from([-0.1, 5.0, 50.0])),
+    ("surface", "eta_f"): ("", st.floats(0.0, 1.0), st.sampled_from([-0.1, 1.5])),
+    ("bragg", "harmonic"): ("", st.integers(1, 3), st.integers(-2, 0)),
+    ("bragg", "q"): ("rad/um", st.floats(0.05, 2.0), st.sampled_from([0.0, -0.3, 1e3])),
+    ("bragg", "omega"): ("Hz", st.floats(1.0, 300.0), st.sampled_from([0.0, -50.0, 1e6])),
+    ("bragg", "tau"): ("s", st.floats(0.01, 1.0), st.sampled_from([0.0, -0.1, 1e3])),
+    ("bragg", "v_b"): ("", st.floats(0.1, 2.0), st.sampled_from([0.0, -1.0])),
+    ("numerics", "density_points"): ("", st.integers(2, 64), st.integers(-1, 1)),
+    ("numerics", "bdg_cutoff"): ("", st.integers(4, 8), st.integers(-1, 3)),
+    ("numerics", "bdg_bands"): ("", st.integers(1, 8), st.sampled_from([0, 20])),
+    ("numerics", "bdg_qpoints"): ("", st.integers(1, 5), st.integers(-1, 0)),
+    ("numerics", "omega_points"): ("", st.integers(8, 64), st.integers(0, 7)),
+    ("numerics", "time_points"): ("", st.integers(2, 32), st.integers(0, 1)),
+    ("numerics", "branch_points"): ("", st.integers(2, 16), st.integers(0, 1)),
+}
+_FUZZ_REQUIRED = {"omega_r", "omega_x", "atoms", "z_cm", "lambda_c", "h"}
+
+
+@st.composite
+def _fuzz_configs(draw):
+    """Config text with in-range values, except at most one key at an edge
+    or out of range; optional keys and a second fundamental come and go."""
+    hostile = draw(st.integers(0, 2 * len(_FUZZ_KEYS)))  # about half: none
+    sections = {}
+    for i, ((section, key), (unit, good, bad)) in enumerate(_FUZZ_KEYS.items()):
+        if i != hostile and key not in _FUZZ_REQUIRED and not draw(st.booleans()):
+            continue
+        value = draw(bad if i == hostile else good)
+        sections.setdefault(section, []).append(f"{key} = {value} {unit}")
+    if draw(st.booleans()):
+        sections["surface"] += [f"lambda_c2 = {draw(st.floats(2.0, 20.0))} um",
+                                f"h2 = {draw(st.floats(0.0, 0.3))} um"]
+    return "".join(f"[{name}]\n" + "\n".join(lines) + "\n" for name, lines in sections.items())
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(command=st.sampled_from(sorted(COMMAND_FILES)), text=_fuzz_configs())
+def test_fuzzed_configs_run_or_refuse(command, text):
+    # Every config either runs (0) or is refused (2); exit 1 is reserved for
+    # validation failure, and no exception may escape main.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.cfg"
+        path.write_text(text)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert _run(command, str(path), Path(tmp) / "out") in (0, 2)

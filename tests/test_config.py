@@ -94,6 +94,9 @@ def test_line_numbers_in_errors():
     bad = GOOD.replace("z_cm = 3 um", "z_cm = three um")
     with pytest.raises(ConfigurationError, match=r":\d+: \[surface\] z_cm"):
         parse_config_text(bad)
+    bad = GOOD.replace("lambda_c = 9.75 um", "lambda_c = 0 um")
+    with pytest.raises(ConfigurationError, match=r":13: \[surface\] lambda_c: must be > 0"):
+        parse_config_text(bad)
 
 
 def test_amplitude_list_and_second_fundamental():
