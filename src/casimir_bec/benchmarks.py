@@ -24,7 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bdg import zone_edge_gap
-from .bragg import BraggPulse, bragg_signal, dsf_lda, pulse_averaged_drive
+from .bragg import (
+    BraggPulse,
+    bragg_signal,
+    default_lda_grid,
+    dsf_homogeneous,
+    dsf_lda,
+    pulse_averaged_drive,
+)
 from .condensate import (
     TrapConfig,
     bogoliubov_dispersion,
@@ -123,23 +130,6 @@ def mixing_scenario():
 
 
 MIXING_BDG_CUTOFF = 128
-
-
-def default_lda_grid(params, q: float, u_abs: float, n_points: int = 2001,
-                     zoom: float | None = None) -> np.ndarray:
-    """Omega grid covering both LDA branch supports with margin; `zoom`
-    restricts it to a window of that half-width (rad/s) around the
-    divergence markers."""
-    t_q = free_kinetic_energy(q, params.species)
-    e_b = bogoliubov_dispersion(q, params.mu_tilde, params.species)
-    f_q = suppression_factor(q, params.mu_tilde, params.species)
-    lower = max(0.0, (t_q - 0.5 * u_abs) * 0.8) / HBAR
-    upper = (e_b + 0.5 * f_q * u_abs) * 1.05 / HBAR
-    if zoom is not None:
-        center = e_b / HBAR
-        lower = center - zoom
-        upper = center + zoom
-    return np.linspace(lower, upper, n_points)
 
 
 def longpulse_shape_deviation(params, u_1: float, q: float,
@@ -288,8 +278,6 @@ def validate_reference() -> ValidationTable:
         rows.append(_below(label, abs(scaled.gap / scale - numeric.gap) / numeric.gap, oracle_tol))
 
     # DSF: homogeneous weight, marker separation, grid-refinement stability.
-    from .bragg import dsf_homogeneous  # local import to keep module load light
-
     n_f = params.trap.atom_number * f_q1
     grid = np.linspace(0.5 * e_b1 / HBAR, 1.5 * e_b1 / HBAR, 2001)
     homog = dsf_homogeneous(q_1, grid, params)

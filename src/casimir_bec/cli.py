@@ -5,7 +5,8 @@
 
 The commands are the stages of ``pipeline.STAGES``.
 
-Exit codes: 0 success, 1 validation failure, 2 configuration error.
+Exit codes: 0 success, 1 validation failure, 2 configuration error or an
+output directory that cannot be written.
 """
 
 from __future__ import annotations
@@ -54,36 +55,48 @@ def _print_validation(table) -> None:
         print("  ".join(c.ljust(w) for c, w in zip(cells, widths)))
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "validate":
-        started = time.perf_counter()
-        table = validate_reference()
-        elapsed = time.perf_counter() - started
-        _print_validation(table)
-        print(f"# {sum(r.passed for r in table.rows)}/{len(table.rows)} rows pass "
-              f"in {elapsed:.1f} s")
-        if args.out is not None:
-            out = Path(args.out)
-            out.mkdir(parents=True, exist_ok=True)
-            write_csv(out / "validation_table.csv",
-                      ["quantity", "expected", "computed", "deviation", "tolerance",
-                       "mode", "status"],
-                      table.to_rows())
-        return 0 if table.all_pass else 1
+def _validate(out_dir) -> int:
+    started = time.perf_counter()
+    table = validate_reference()
+    elapsed = time.perf_counter() - started
+    _print_validation(table)
+    print(f"# {sum(r.passed for r in table.rows)}/{len(table.rows)} rows pass "
+          f"in {elapsed:.1f} s")
+    if out_dir is not None:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        write_csv(out / "validation_table.csv",
+                  ["quantity", "expected", "computed", "deviation", "tolerance",
+                   "mode", "status"],
+                  table.to_rows())
+    return 0 if table.all_pass else 1
 
+
+def _run_stage(command: str, config_path: str, out_dir: str) -> int:
     try:
-        config = parse_config(args.config)
+        config = parse_config(config_path)
     except ConfigurationError as exc:
         print(f"configuration error:\n{exc}", file=sys.stderr)
         return 2
     try:
-        summary = run_scenario(config, args.command, args.out)
+        summary = run_scenario(config, command, out_dir)
     except CasimirBecError as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
+        print(f"{command}: {exc}", file=sys.stderr)
         return 2
-    print(f"{args.command}: wrote {', '.join(summary['files'])} to {args.out}")
+    print(f"{command}: wrote {', '.join(summary['files'])} to {out_dir}")
     return 0
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        if args.command == "validate":
+            return _validate(args.out)
+        return _run_stage(args.command, args.config, args.out)
+    except OSError as exc:
+        # Unreadable inputs are ConfigurationErrors; what is left is the output.
+        print(f"{args.command}: cannot write output: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

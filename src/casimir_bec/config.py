@@ -16,14 +16,18 @@ Every physical value carries an explicit unit, e.g.::
 Frequencies in config files are ordinary frequencies (Hz); the package
 converts them to angular frequencies (x 2*pi) on ingestion.  Energy-like
 keys (u_n_offset) are also given in Hz and converted via E = 2*pi*hbar*f.
-Unknown keys are rejected; all problems in a file are reported at once
-with their line numbers.
+Each key's kind, unit table, conversion and lower bound live in one table,
+``_SCHEMA``.  Unknown keys are rejected; all problems with single keys in a
+file are reported at once, each with its line number.  A rule across keys
+or a check of the built dataclasses refuses at the line of the key at fault,
+or else at its section's header line.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .constants import TWO_PI, frequency_to_energy
 from .condensate import DENSITY_POINTS_DEFAULT, TrapConfig
@@ -42,77 +46,74 @@ _UNIT_TABLES = {
     "mass": {"kg": 1.0, "u": 1.66053906660e-27, "amu": 1.66053906660e-27},
 }
 
-# kind -> (unit table or None, post-conversion)
-_KINDS = {
-    "frequency_angular": ("frequency", lambda v: TWO_PI * v),
-    "frequency": ("frequency", lambda v: v),
-    "energy_hz": ("frequency", frequency_to_energy),
-    "length": ("length", lambda v: v),
-    "time": ("time", lambda v: v),
-    "temperature": ("temperature", lambda v: v),
-    "wavenumber": ("wavenumber", lambda v: v),
-    "volume": ("volume", lambda v: v),
-    "mass": ("mass", lambda v: v),
-    "count": (None, lambda v: v),
-    "dimensionless": (None, lambda v: v),
-    "int": (None, int),
-    "string": (None, str),
-}
 
-_SPECIES_FIELD_KINDS = {
-    "mass": "mass",
-    "scattering_length": "length",
-    "polarizability_volume": "volume",
-    "transition_wavelength": "length",
-}
+class _Key(NamedTuple):
+    """Everything the parser knows about one key."""
 
-# section -> key -> (kind, required, list allowed)
-_SCHEMA: dict[str, dict[str, tuple[str, bool, bool]]] = {
+    kind: str                    # a unit table, or "number", "int", "string"
+    required: bool = False
+    many: bool = False           # takes a comma-separated list
+    post: Callable[[float], float] = float  # applied after the unit factor
+    minimum: float | None = None
+    strict: bool = False         # the minimum itself is refused
+
+
+def _angular(frequency: float) -> float:
+    return TWO_PI * frequency
+
+
+# A BdG basis needs one plane wave on each side and one q-point and band; a
+# sampled table needs two points; the DSF grid needs 8 (dsf_lda's own
+# floor).  The probe needs a positive wavenumber and pulse length; harmonic
+# n probes q = n*k_c/2.  A wavelength sets k_c = 2*pi/lambda.
+_SCHEMA: dict[str, dict[str, _Key]] = {
     "species": {
-        "name": ("string", False, False),
-        "mass": ("mass", False, False),
-        "scattering_length": ("length", False, False),
-        "polarizability_volume": ("volume", False, False),
-        "transition_wavelength": ("length", False, False),
+        "name": _Key("string"),
+        "mass": _Key("mass"),
+        "scattering_length": _Key("length"),
+        "polarizability_volume": _Key("volume"),
+        "transition_wavelength": _Key("length"),
     },
     "trap": {
-        "omega_r": ("frequency_angular", True, False),
-        "omega_x": ("frequency_angular", True, False),
-        "atoms": ("count", True, False),
-        "u_n_offset": ("energy_hz", False, False),
-        "t_bec": ("temperature", False, False),
+        "omega_r": _Key("frequency", required=True, post=_angular),
+        "omega_x": _Key("frequency", required=True, post=_angular),
+        "atoms": _Key("number", required=True),
+        "u_n_offset": _Key("frequency", post=frequency_to_energy),
+        "t_bec": _Key("temperature", minimum=0, strict=True),
     },
     "surface": {
-        "z_cm": ("length", True, False),
-        "lambda_c": ("length", False, False),
-        "k_c": ("wavenumber", False, False),
-        "h": ("length", False, True),
-        "lambda_c2": ("length", False, False),
-        "k_c2": ("wavenumber", False, False),
-        "h2": ("length", False, True),
-        "eta_f": ("dimensionless", False, False),
-        "response_file": ("string", False, False),
-        "t_env": ("temperature", False, False),
+        "z_cm": _Key("length", required=True),
+        "lambda_c": _Key("length", minimum=0, strict=True),
+        "k_c": _Key("wavenumber"),
+        "h": _Key("length", many=True),
+        "lambda_c2": _Key("length", minimum=0, strict=True),
+        "k_c2": _Key("wavenumber"),
+        "h2": _Key("length", many=True),
+        "eta_f": _Key("number"),
+        "response_file": _Key("string"),
+        "t_env": _Key("temperature", minimum=0, strict=True),
     },
     "bragg": {
-        "q": ("wavenumber", False, False),
-        "harmonic": ("int", False, False),
-        "omega": ("frequency_angular", False, False),
-        "v_b": ("dimensionless", False, False),
-        "tau": ("time", False, False),
+        "q": _Key("wavenumber", minimum=0, strict=True),
+        "harmonic": _Key("int", post=int, minimum=1),
+        "omega": _Key("frequency", post=_angular),
+        "v_b": _Key("number"),
+        "tau": _Key("time", minimum=0, strict=True),
     },
     "numerics": {
-        "density_points": ("int", False, False),
-        "bdg_cutoff": ("int", False, False),
-        "bdg_bands": ("int", False, False),
-        "bdg_qpoints": ("int", False, False),
-        "omega_points": ("int", False, False),
-        "time_points": ("int", False, False),
-        "branch_points": ("int", False, False),
+        "density_points": _Key("int", post=int, minimum=2),
+        "bdg_cutoff": _Key("int", post=int, minimum=1),
+        "bdg_bands": _Key("int", post=int, minimum=1),
+        "bdg_qpoints": _Key("int", post=int, minimum=1),
+        "omega_points": _Key("int", post=int, minimum=8),
+        "time_points": _Key("int", post=int, minimum=2),
+        "branch_points": _Key("int", post=int, minimum=2),
     },
 }
-
-_REQUIRED_SECTIONS = ("trap", "surface")
+# A [species.<name>] section defines a species and needs every field.
+_CUSTOM_SPECIES = "species.<name>"
+_SCHEMA[_CUSTOM_SPECIES] = {key: spec._replace(required=True)
+                            for key, spec in _SCHEMA["species"].items() if key != "name"}
 
 
 @dataclass(frozen=True)
@@ -192,39 +193,28 @@ def _tokenize(path: str, text: str):
     return sections, section_lines, errors
 
 
-def _convert(raw: _RawValue, kind: str, want_list: bool, where: str, errors: list[str]):
-    table_name, post = _KINDS[kind]
-    if kind == "string":
+def _convert(raw: _RawValue, spec: _Key, where: str, errors: list[str]):
+    if spec.kind == "string":
         return raw.text
     parts = raw.text.split()
-    unit_factor = None
-    if table_name is not None:
-        table = _UNIT_TABLES[table_name]
-        if len(parts) >= 2 and parts[-1] in table:
-            unit_factor = table[parts[-1]]
-            number_text = " ".join(parts[:-1])
-        else:
-            suffix = parts[-1] if parts and not _is_number_like(parts[-1]) else None
-            if suffix is not None:
-                errors.append(
-                    f"{where}: expected a {table_name} unit ({', '.join(sorted(table))}), "
-                    f"got {suffix!r}"
-                )
-                return None
-            errors.append(
-                f"{where}: missing {table_name} unit "
-                f"({', '.join(sorted(table))}) on value {raw.text!r}"
-            )
+    table = _UNIT_TABLES.get(spec.kind)
+    if table is not None:
+        if len(parts) < 2 or parts[-1] not in table:
+            units = ", ".join(sorted(table))
+            if parts and not _is_number_like(parts[-1]):
+                errors.append(f"{where}: expected a {spec.kind} unit ({units}), got {parts[-1]!r}")
+            else:
+                errors.append(f"{where}: missing {spec.kind} unit ({units}) on value {raw.text!r}")
             return None
+        unit_factor, number_text = table[parts[-1]], " ".join(parts[:-1])
+    elif len(parts) > 1 and not _is_number_like(parts[-1]):
+        errors.append(f"{where}: value {raw.text!r} must be dimensionless (no unit)")
+        return None
     else:
-        if len(parts) > 1 and not _is_number_like(parts[-1]):
-            errors.append(f"{where}: value {raw.text!r} must be dimensionless (no unit)")
-            return None
-        number_text = raw.text
-        unit_factor = 1.0
+        unit_factor, number_text = 1.0, raw.text
 
     pieces = [p.strip() for p in number_text.split(",")]
-    if len(pieces) > 1 and not want_list:
+    if len(pieces) > 1 and not spec.many:
         errors.append(f"{where}: a single value is expected, got a list {raw.text!r}")
         return None
     values = []
@@ -237,11 +227,17 @@ def _convert(raw: _RawValue, kind: str, want_list: bool, where: str, errors: lis
         if not math.isfinite(number):
             errors.append(f"{where}: value must be finite, got {piece!r}")
             return None
-        if kind == "int" and number != int(number):
+        if spec.kind == "int" and number != int(number):
             errors.append(f"{where}: expected an integer, got {piece!r}")
             return None
-        values.append(post(number * unit_factor))
-    return values if want_list else values[0]
+        value = spec.post(number * unit_factor)
+        if spec.minimum is not None and (
+                value <= spec.minimum if spec.strict else value < spec.minimum):
+            errors.append(f"{where}: must be {'>' if spec.strict else '>='} {spec.minimum}, "
+                          f"got {raw.text}")
+            return None
+        values.append(value)
+    return values if spec.many else values[0]
 
 
 def _is_number_like(token: str) -> bool:
@@ -258,128 +254,85 @@ def parse_config(path: str) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config {path!r}: {exc}") from None
     return parse_config_text(text, path=path)
 
 
 def parse_config_text(text: str, path: str = "<string>") -> RunConfig:
     sections, section_lines, errors = _tokenize(path, text)
-
-    custom_species: dict[str, AtomSpecies] = {}
-    values: dict[str, dict[str, object]] = {}
-
-    for name in _REQUIRED_SECTIONS:
+    for name in ("trap", "surface"):
         if name not in sections:
             errors.append(f"{path}: missing required section [{name}]")
 
+    values: dict[str, dict[str, object]] = {}
     for section, keys in sections.items():
-        if section.startswith("species."):
-            species_name = section.split(".", 1)[1]
-            fields = {}
-            for key, raw in keys.items():
-                where = f"{path}:{raw.line}: [{section}] {key}"
-                if key not in _SPECIES_FIELD_KINDS:
-                    errors.append(f"{where}: unknown key")
-                    continue
-                converted = _convert(raw, _SPECIES_FIELD_KINDS[key], False, where, errors)
-                if converted is not None:
-                    fields[key] = converted
-            missing = sorted(set(_SPECIES_FIELD_KINDS) - set(fields))
-            if missing:
-                errors.append(
-                    f"{path}:{section_lines[section]}: [{section}] missing keys: "
-                    + ", ".join(missing)
-                )
-            else:
-                try:
-                    custom_species[species_name.lower()] = AtomSpecies(name=species_name, **fields)
-                except ConfigurationError as exc:
-                    errors.append(f"{path}:{section_lines[section]}: {exc}")
-            continue
-        if section not in _SCHEMA:
+        schema = _SCHEMA.get(_CUSTOM_SPECIES if section.startswith("species.") else section)
+        if schema is None:
             errors.append(f"{path}:{section_lines[section]}: unknown section [{section}]")
             continue
-        schema = _SCHEMA[section]
         out: dict[str, object] = {}
         for key, raw in keys.items():
             where = f"{path}:{raw.line}: [{section}] {key}"
             if key not in schema:
                 errors.append(f"{where}: unknown key")
                 continue
-            kind, _, want_list = schema[key]
-            converted = _convert(raw, kind, want_list, where, errors)
+            converted = _convert(raw, schema[key], where, errors)
             if converted is not None:
                 out[key] = converted
-        missing = sorted(k for k, (_, required, _) in schema.items()
-                         if required and k not in keys)
+        missing = sorted(k for k, spec in schema.items() if spec.required and k not in keys)
         if missing:
-            errors.append(
-                f"{path}:{section_lines[section]}: [{section}] missing required keys: "
-                + ", ".join(missing)
-            )
-        _check_ranges(section, keys, out, path, errors)
+            errors.append(f"{path}:{section_lines[section]}: [{section}] missing keys: "
+                          + ", ".join(missing))
         values[section] = out
+
+    # The one rule across keys: a BdG basis of 2*bdg_cutoff + 1 plane waves
+    # holds that many bands.  A key the file set that failed its own check
+    # is not compared.
+    numerics, raw_numerics = values.get("numerics", {}), sections.get("numerics", {})
+    if all(key in numerics or key not in raw_numerics for key in ("bdg_cutoff", "bdg_bands")):
+        cutoff = numerics.get("bdg_cutoff", Numerics.bdg_cutoff)
+        bands = numerics.get("bdg_bands", Numerics.bdg_bands)
+        if bands > 2 * cutoff + 1:
+            key = "bdg_bands" if "bdg_bands" in numerics else "bdg_cutoff"
+            errors.append(f"{path}:{raw_numerics[key].line}: [numerics] {key}: "
+                          f"bdg_bands = {bands} exceeds the 2*bdg_cutoff + 1 = "
+                          f"{2 * cutoff + 1} bands of the basis")
 
     if errors:
         raise ConfigurationError("\n".join(errors))
-
-    try:
-        return _assemble(values, custom_species, path)
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{path}: {exc}") from None
+    return _assemble(values, sections, section_lines, path)
 
 
-# Lower bound of each range-checked key, as (minimum, whether the minimum
-# itself is refused).  A BdG basis needs one plane wave on each side and one
-# q-point and band; a sampled table needs two points; the DSF grid needs 8
-# (dsf_lda's own floor).  The probe needs a positive wavenumber and pulse
-# length; harmonic n probes q = n*k_c/2.  A wavelength sets k_c = 2*pi/lambda.
-_MINIMUM = {
-    "surface": {"lambda_c": (0, True), "lambda_c2": (0, True)},
-    "numerics": {
-        "density_points": (2, False),
-        "bdg_cutoff": (1, False),
-        "bdg_bands": (1, False),
-        "bdg_qpoints": (1, False),
-        "omega_points": (8, False),
-        "time_points": (2, False),
-        "branch_points": (2, False),
-    },
-    "bragg": {
-        "harmonic": (1, False),
-        "q": (0, True),
-        "tau": (0, True),
-    },
-}
+def _assemble(values, sections, section_lines, path) -> RunConfig:
+    """Build the run from converted values.  A refusal, from a dataclass
+    check or a rule across keys, names the line of the key at fault, or
+    else its section's header line."""
 
+    def refuse(section, message, key=None):
+        line = sections[section][key].line if key else section_lines[section]
+        return ConfigurationError(f"{path}:{line}: [{section}] {message}")
 
-def _check_ranges(section, keys, out, path, errors: list[str]) -> None:
-    """Range checks from _MINIMUM, each reported at the line that set the key."""
-    for key, (minimum, strict) in _MINIMUM.get(section, {}).items():
-        if key in out and (out[key] <= minimum if strict else out[key] < minimum):
-            errors.append(f"{path}:{keys[key].line}: [{section}] {key}: "
-                          f"must be {'>' if strict else '>='} {minimum}, got {keys[key].text}")
-    if section != "numerics":
-        return
-    cutoff = out.get("bdg_cutoff", Numerics.bdg_cutoff)
-    bands = out.get("bdg_bands", Numerics.bdg_bands)
-    if cutoff >= 1 and bands > 2 * cutoff + 1:
-        key = "bdg_bands" if "bdg_bands" in out else "bdg_cutoff"
-        errors.append(f"{path}:{keys[key].line}: [numerics] {key}: bdg_bands = {bands} "
-                      f"exceeds the 2*bdg_cutoff + 1 = {2 * cutoff + 1} bands of the basis")
+    def build(section, factory, *args, **kwargs):
+        try:
+            return factory(*args, **kwargs)
+        except ConfigurationError as exc:
+            raise refuse(section, exc) from None
 
-
-def _assemble(values, custom_species, path) -> RunConfig:
-    sp_section = dict(values.get("species", {}))
-    name = str(sp_section.pop("name", "rb87"))
-    if name.lower() in custom_species:
-        base = custom_species[name.lower()]
-        species = base if not sp_section else species_lookup(
-            name, **{**{f: getattr(base, f) for f in _SPECIES_FIELD_KINDS}, **sp_section}
-        )
+    custom = {}
+    for section, fields in values.items():
+        if section.startswith("species."):
+            custom_name = section.split(".", 1)[1]
+            custom[custom_name] = build(section, AtomSpecies, name=custom_name, **fields)
+    sp_v = dict(values.get("species", {}))
+    name = sp_v.pop("name", "rb87")
+    base = custom.get(name.lower())
+    if base is not None and not sp_v:
+        species = base
     else:
-        species = species_lookup(name, **sp_section)
+        if base is not None:
+            sp_v = {**{f: getattr(base, f) for f in _SCHEMA[_CUSTOM_SPECIES]}, **sp_v}
+        species = build("species", species_lookup, name, **sp_v)
 
     # Only keys the file set are passed on: each default lives in its dataclass.
     # t_bec and t_env are read from [trap] and [surface] but belong to the run.
@@ -388,24 +341,26 @@ def _assemble(values, custom_species, path) -> RunConfig:
     run_v = {key: section.pop(key)
              for section, key in ((trap_v, "t_bec"), (surf_v, "t_env")) if key in section}
     trap_v["atom_number"] = trap_v.pop("atoms")
-    trap = TrapConfig(**trap_v)
+    trap = build("trap", TrapConfig, **trap_v)
 
+    # A tabulated response replaces the perfect-reflector kernel that eta_f scales.
+    for first, second in (("lambda_c", "k_c"), ("lambda_c2", "k_c2"), ("eta_f", "response_file")):
+        if first in surf_v and second in surf_v:
+            raise refuse("surface", f"give {first} or {second}, not both", first)
     fundamentals = []
     for lam_key, k_key, h_key in (("lambda_c", "k_c", "h"), ("lambda_c2", "k_c2", "h2")):
-        has_lam, has_k = lam_key in surf_v, k_key in surf_v
-        if has_lam and has_k:
-            raise ConfigurationError(f"[surface] give {lam_key} or {k_key}, not both")
-        if not (has_lam or has_k):
+        if lam_key not in surf_v and k_key not in surf_v:
             if lam_key == "lambda_c":
-                raise ConfigurationError("[surface] needs lambda_c or k_c")
+                raise refuse("surface", "needs lambda_c or k_c")
             if h_key in surf_v:
-                raise ConfigurationError(f"[surface] {h_key} given without {lam_key} or {k_key}")
+                raise refuse("surface", f"{h_key} given without {lam_key} or {k_key}", h_key)
             continue
         if h_key not in surf_v:
-            raise ConfigurationError(f"[surface] missing corrugation amplitudes {h_key}")
-        k_c = surf_v[k_key] if has_k else TWO_PI / surf_v[lam_key]
-        fundamentals.append(Corrugation(k_c=k_c, amplitudes=tuple(surf_v[h_key])))
-    surface = SurfaceConfig(
+            raise refuse("surface", f"missing corrugation amplitudes {h_key}")
+        k_c = surf_v[k_key] if k_key in surf_v else TWO_PI / surf_v[lam_key]
+        fundamentals.append(build("surface", Corrugation, k_c=k_c, amplitudes=tuple(surf_v[h_key])))
+    surface = build(
+        "surface", SurfaceConfig,
         fundamentals=tuple(fundamentals),
         z_cm=surf_v["z_cm"],
         **{key: surf_v[key] for key in ("eta_f", "response_file") if key in surf_v},

@@ -28,7 +28,6 @@ CONST = Constants()
 HBAR = CONST.hbar
 C = CONST.c
 K_B = CONST.k_B
-EPS0 = CONST.eps0
 
 TWO_PI = 2.0 * math.pi
 

@@ -18,8 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bdg as bdg_mod
-from .bragg import BraggPulse, bragg_signal, dsf_lda
-from .benchmarks import default_lda_grid
+from .bragg import BraggPulse, bragg_signal, default_lda_grid, dsf_lda
 from .condensate import (
     bogoliubov_dispersion,
     derive_quasi1d,

@@ -141,12 +141,11 @@ class PotentialComponent:
 class LateralPotential:
     """U_L(x) = sum over fundamentals of sum_n U_n cos(n*k_c*x).
 
-    normal_offset is the x-independent normal Casimir energy at z_cm; it
-    shifts the chemical potential only and opens no gaps.
+    The x-independent normal Casimir energy opens no gaps; it enters only
+    the chemical potential, through TrapConfig.u_n_offset.
     """
 
     components: tuple[PotentialComponent, ...]
-    normal_offset: float = 0.0  # J
 
     def max_abs_coefficient(self) -> tuple[float, int, float]:
         """(|U|, harmonic n, k_c) of the largest coefficient."""
@@ -156,9 +155,6 @@ class LateralPotential:
                 if abs(u) > best[0]:
                     best = (abs(u), n, comp.k_c)
         return best
-
-    def total_abs(self) -> float:
-        return sum(abs(u) for comp in self.components for u in comp.coefficients)
 
 
 def lateral_coefficients(
@@ -190,7 +186,7 @@ def lateral_coefficients(
 
 
 def lateral_eval(pot: LateralPotential, x):
-    """Evaluate U_L(x) in J; x scalar or array in m.  Excludes normal_offset."""
+    """Evaluate U_L(x) in J; x scalar or array in m."""
     x_arr = np.asarray(x, dtype=float)
     total = np.zeros_like(x_arr)
     for comp in pot.components:
@@ -207,23 +203,27 @@ def load_tabulated_response(path: str) -> ResponseFunction:
     order (k outer, z inner), both axes strictly increasing.  Queries
     outside the grid raise ExtrapolationError; there is no extrapolation.
     """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            lines = [line for line in fh if not line.startswith("#")]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read response table {path!r}: {exc}") from None
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header is None or [c.strip() for c in header] != ["k_radpm", "z_m", "g_Jpm"]:
+        raise ConfigurationError(
+            f"{path}: expected header 'k_radpm,z_m,g_Jpm', got {header!r}"
+        )
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(line for line in fh if not line.startswith("#"))
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header] != ["k_radpm", "z_m", "g_Jpm"]:
-            raise ConfigurationError(
-                f"{path}: expected header 'k_radpm,z_m,g_Jpm', got {header!r}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ConfigurationError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
-            try:
-                rows.append(tuple(float(c) for c in row))
-            except ValueError as exc:
-                raise ConfigurationError(f"{path}:{lineno}: {exc}") from None
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 3:
+            raise ConfigurationError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
+        try:
+            rows.append(tuple(float(c) for c in row))
+        except ValueError as exc:
+            raise ConfigurationError(f"{path}:{lineno}: {exc}") from None
     if not rows:
         raise ConfigurationError(f"{path}: empty response table")
 

@@ -218,6 +218,56 @@ def test_runtime_error_exit_code(tmp_path, capsys):
     assert not (tmp_path / "o").exists()  # a refused run writes no file
 
 
+@pytest.mark.parametrize("old, new, where", [
+    ("z_cm = 3 um", "z_cm = 0 um", "bad.cfg:6: [surface] surface separation"),
+    ("atoms = 1e4", "atoms = 0", "bad.cfg:1: [trap] atom number"),
+    ("omega_r = 2.7 kHz", "omega_r = 0 kHz", "bad.cfg:1: [trap] trap frequencies"),
+    ("h = 1 um", "h = -0.1 um", "bad.cfg:6: [surface] corrugation amplitudes"),
+    ("h = 1 um", "h = 1 um\neta_f = 1.5", "bad.cfg:6: [surface] eta_f must lie in [0, 1]"),
+    ("h = 1 um", "h = 1 um\n[species]\nmass = -1 kg", "bad.cfg:10: [species] species 'rb87'"),
+    ("h = 1 um", "h = 1 um\nt_env = 0 K", "bad.cfg:10: [surface] t_env: must be > 0"),
+    ("atoms = 1e4", "atoms = 1e4\nt_bec = 0 K", "bad.cfg:5: [trap] t_bec: must be > 0"),
+    ("h = 1 um", "h = 1 um\neta_f = 0.5\nresponse_file = g.csv",
+     "bad.cfg:10: [surface] give eta_f or response_file, not both"),
+], ids=["z_cm", "atoms", "omega_r", "h", "eta_f", "mass", "t_env", "t_bec", "eta_f_and_table"])
+def test_config_refusals_name_their_line(tmp_path, capsys, old, new, where):
+    config = tmp_path / "bad.cfg"
+    config.write_text(CONFIG.lstrip("\n").replace(old, new))
+    assert _run("potential", str(config), tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and where in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_missing_response_file_refused(config_path, tmp_path, capsys):
+    missing = tmp_path / "nowhere" / "r.csv"
+    cfg = Path(config_path).read_text().replace(
+        "lambda_c = 9.75 um", f"lambda_c = 9.75 um\nresponse_file = {missing}")
+    cfg_path = tmp_path / "tab.cfg"
+    cfg_path.write_text(cfg)
+    assert _run("potential", str(cfg_path), tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert f"cannot read response table {str(missing)!r}" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", [*COMMAND_FILES, "validate"])
+def test_out_not_a_directory_refused(config_path, tmp_path, capsys, monkeypatch, command):
+    from casimir_bec import cli
+    from casimir_bec.benchmarks import ValidationRow, ValidationTable
+
+    monkeypatch.setattr(cli, "validate_reference", lambda: ValidationTable(rows=(
+        ValidationRow("x", 1.0, 1.0, 0.0, 0.1, "rel", True),)))
+    blocker = tmp_path / "a_file"
+    blocker.write_text("keep")
+    config = [] if command == "validate" else ["--config", config_path]
+    for out in (blocker, blocker / "sub"):
+        assert main([command, *config, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{command}: cannot write output: ") and str(out) in err
+    assert blocker.read_text() == "keep"
+
+
 def test_validate_command_exit_codes(tmp_path, capsys, monkeypatch):
     from casimir_bec import cli
     from casimir_bec.benchmarks import ValidationRow, ValidationTable
@@ -263,11 +313,13 @@ _FUZZ_KEYS = {
     ("trap", "omega_x"): ("Hz", st.floats(0.2, 10.0), st.sampled_from([0.0, -0.83])),
     ("trap", "atoms"): ("", st.floats(1e3, 1e5), st.sampled_from([0.0, 0.5, 1.0, 1e8])),
     ("trap", "u_n_offset"): ("Hz", st.floats(-20.0, 20.0), st.sampled_from([-1e4, 1e4])),
+    ("trap", "t_bec"): ("nK", st.floats(0.1, 100.0), st.sampled_from([0.0, -1.0])),
     ("surface", "z_cm"): ("um", st.floats(1.0, 10.0), st.sampled_from([0.0, -1.0, 0.05])),
     ("surface", "lambda_c"): ("um", st.floats(2.0, 20.0), st.sampled_from([0.0, -3.0, 1e-3])),
     ("surface", "h"): ("um", st.lists(st.floats(0.0, 0.3), min_size=1, max_size=3).map(
         lambda hs: ", ".join(map(str, hs))), st.sampled_from([-0.1, 5.0, 50.0])),
     ("surface", "eta_f"): ("", st.floats(0.0, 1.0), st.sampled_from([-0.1, 1.5])),
+    ("surface", "t_env"): ("K", st.floats(1.0, 400.0), st.sampled_from([0.0, -300.0])),
     ("bragg", "harmonic"): ("", st.integers(1, 3), st.integers(-2, 0)),
     ("bragg", "q"): ("rad/um", st.floats(0.05, 2.0), st.sampled_from([0.0, -0.3, 1e3])),
     ("bragg", "omega"): ("Hz", st.floats(1.0, 300.0), st.sampled_from([0.0, -50.0, 1e6])),

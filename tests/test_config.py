@@ -97,6 +97,34 @@ def test_line_numbers_in_errors():
     bad = GOOD.replace("lambda_c = 9.75 um", "lambda_c = 0 um")
     with pytest.raises(ConfigurationError, match=r":13: \[surface\] lambda_c: must be > 0"):
         parse_config_text(bad)
+    # Temperatures are refused at parse time, at the line that set them.
+    for old, new, where in (
+        ("t_env = 300 K", "t_env = 0 K", r":16: \[surface\] t_env: must be > 0"),
+        ("u_n_offset = 10 Hz", "u_n_offset = 10 Hz\nt_bec = 0 K",
+         r":10: \[trap\] t_bec: must be > 0"),
+    ):
+        with pytest.raises(ConfigurationError, match=where):
+            parse_config_text(GOOD.replace(old, new))
+    # A dataclass refusal names its section's header line.
+    for old, new, where in (
+        ("z_cm = 3 um", "z_cm = 0 um", r"t\.cfg:11: \[surface\] surface separation must be > 0"),
+        ("atoms = 1e4", "atoms = 0", r"t\.cfg:5: \[trap\] atom number must be >= 1"),
+        ("omega_r = 2.7 kHz", "omega_r = 0 kHz", r"t\.cfg:5: \[trap\] trap frequencies"),
+        ("h = 1 um", "h = -0.1 um", r"t\.cfg:11: \[surface\] corrugation amplitudes"),
+        ("eta_f = 0.9", "eta_f = 1.5", r"t\.cfg:11: \[surface\] eta_f must lie in \[0, 1\]"),
+        ("name = rb87", "name = rb87\nmass = -1 kg",
+         r"t\.cfg:2: \[species\] species 'rb87': mass must be positive"),
+    ):
+        with pytest.raises(ConfigurationError, match=where):
+            parse_config_text(GOOD.replace(old, new), path="t.cfg")
+
+
+def test_eta_f_and_response_file_exclusive():
+    # A tabulated response is used as-is; an eta_f next to it would be ignored.
+    text = GOOD.replace("eta_f = 0.9", "eta_f = 0.9\nresponse_file = g.csv")
+    with pytest.raises(ConfigurationError,
+                       match=r":15: \[surface\] give eta_f or response_file, not both"):
+        parse_config_text(text)
 
 
 def test_amplitude_list_and_second_fundamental():
