@@ -145,8 +145,8 @@ def test_detuned_branches_match_bdg(params, pot):
     eps = k_c / 8.0
     slice_ = band_branches(params, pot, detunings=np.array([eps]))
     lowest = solve_bdg(_problem(params, pot, k_c / 2.0 + eps, cutoff=16))[:2]
-    assert slice_.e_minus[0] == pytest.approx(lowest[0], rel=0.02)
-    assert slice_.e_plus[0] == pytest.approx(lowest[1], rel=0.02)
+    assert slice_.e_minus[0] == pytest.approx(lowest[0], rel=0.02, abs=0)
+    assert slice_.e_plus[0] == pytest.approx(lowest[1], rel=0.02, abs=0)
 
 
 def test_bloch_periodicity(params, pot):
@@ -265,8 +265,8 @@ def test_dual_far_apart_matches_single_runs(params):
     dual_2 = zone_edge_gap(params.mu_tilde, RB87, pot, fundamental=1, cutoff=24)
     single_1 = zone_edge_gap(params.mu_tilde, RB87, _single_pot(k_1, u_1), cutoff=24)
     single_2 = zone_edge_gap(params.mu_tilde, RB87, _single_pot(3.0 * k_1, u_2), cutoff=24)
-    assert dual_1.gap == pytest.approx(single_1.gap, rel=0.01)
-    assert dual_2.gap == pytest.approx(single_2.gap, rel=0.01)
+    assert dual_1.gap == pytest.approx(single_1.gap, rel=0.01, abs=0)
+    assert dual_2.gap == pytest.approx(single_2.gap, rel=0.01, abs=0)
 
 
 def test_mixing_onset_cross_check():

@@ -37,15 +37,15 @@ def test_mu_scales_as_n_to_two_thirds(params):
     trap8 = TrapConfig(omega_r=params.trap.omega_r, omega_x=params.trap.omega_x,
                        atom_number=8 * params.trap.atom_number)
     scaled = derive_quasi1d(trap8, RB87)
-    assert scaled.mu_tilde == pytest.approx(4.0 * params.mu_tilde, rel=1e-12)
+    assert scaled.mu_tilde == pytest.approx(4.0 * params.mu_tilde, rel=1e-12, abs=0)
 
 
 def test_self_consistency(params):
     m = RB87.mass
     back = 0.5 * m * params.trap.omega_x**2 * params.half_length**2
-    assert back == pytest.approx(params.mu_tilde, rel=1e-10)
+    assert back == pytest.approx(params.mu_tilde, rel=1e-10, abs=0)
     k_mu_energy = (HBAR * params.k_mu) ** 2 / (2.0 * m)
-    assert k_mu_energy == pytest.approx(params.mu_tilde, rel=1e-12)
+    assert k_mu_energy == pytest.approx(params.mu_tilde, rel=1e-12, abs=0)
 
 
 @settings(max_examples=25)
@@ -62,9 +62,9 @@ def test_scaling_laws(scale_a, scale_w):
     derived = derive_quasi1d(trap, species)
     # mu ~ (a N)^(2/3) wx^(2/3), l ~ (a N)^(1/3) / wx^(2/3)
     assert derived.mu_tilde == pytest.approx(
-        base.mu_tilde * scale_a ** (2 / 3) * scale_w ** (2 / 3), rel=1e-10)
+        base.mu_tilde * scale_a ** (2 / 3) * scale_w ** (2 / 3), rel=1e-10, abs=0)
     assert derived.half_length == pytest.approx(
-        base.half_length * scale_a ** (1 / 3) / scale_w ** (2 / 3), rel=1e-10)
+        base.half_length * scale_a ** (1 / 3) / scale_w ** (2 / 3), rel=1e-10, abs=0)
 
 
 def test_offset_shifts_full_mu_only(params):
@@ -74,11 +74,11 @@ def test_offset_shifts_full_mu_only(params):
     shifted = derive_quasi1d(trap, RB87)
     # N fixes mu_tilde; the offset moves only the full chemical potential,
     # so at fixed mu the usable mu_tilde drops by exactly the offset.
-    assert shifted.mu_tilde == pytest.approx(params.mu_tilde, rel=1e-14)
-    assert shifted.mu == pytest.approx(params.mu + offset, rel=1e-14)
+    assert shifted.mu_tilde == pytest.approx(params.mu_tilde, rel=1e-14, abs=0)
+    assert shifted.mu == pytest.approx(params.mu + offset, rel=1e-14, abs=0)
     mu_fixed = params.mu
     mu_tilde_at_fixed_mu = mu_fixed - HBAR * trap.omega_r - offset
-    assert params.mu_tilde - mu_tilde_at_fixed_mu == pytest.approx(offset, rel=1e-12)
+    assert params.mu_tilde - mu_tilde_at_fixed_mu == pytest.approx(offset, rel=1e-12, abs=0)
 
 
 def test_trap_validation():
@@ -188,13 +188,13 @@ def test_coherence_length_crossover(params):
         1.380649e-23 * 2.0 * params.half_length * RB87.mass)
     assert 0.05e-9 < t_cross < 1e-9
     assert coherence_length(n_peak, t_cross, RB87) == pytest.approx(
-        2.0 * params.half_length, rel=1e-12)
+        2.0 * params.half_length, rel=1e-12, abs=0)
 
 
 def test_coherence_scaling(params):
     l1 = coherence_length(params.peak_density, 1e-9, RB87)
     l2 = coherence_length(params.peak_density, 2e-9, RB87)
-    assert l1 == pytest.approx(2.0 * l2, rel=1e-12)
+    assert l1 == pytest.approx(2.0 * l2, rel=1e-12, abs=0)
     with pytest.raises(PhysicsDomainError):
         coherence_length(params.peak_density, 0.0, RB87)
 

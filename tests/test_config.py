@@ -39,7 +39,7 @@ def test_parse_good_config():
     assert cfg.trap.omega_r == pytest.approx(2.0 * math.pi * 2700.0, rel=1e-12)
     assert cfg.trap.omega_x == pytest.approx(2.0 * math.pi * 0.83, rel=1e-12)
     assert cfg.trap.atom_number == 1e4
-    assert cfg.trap.u_n_offset == pytest.approx(frequency_to_energy(10.0), rel=1e-12)
+    assert cfg.trap.u_n_offset == pytest.approx(frequency_to_energy(10.0), rel=1e-12, abs=0)
     assert cfg.surface.z_cm == 3e-6
     assert cfg.surface.fundamentals[0].k_c == pytest.approx(2.0 * math.pi / 9.75e-6, rel=1e-12)
     assert cfg.surface.fundamentals[0].amplitudes == (1e-6,)
@@ -152,13 +152,13 @@ transition_wavelength = 852 nm
     cfg = parse_config_text(text)
     assert cfg.species.name == "cs133"
     assert cfg.species.mass == 2.207e-25
-    assert cfg.species.scattering_length == pytest.approx(1.5e-9, rel=1e-12)
+    assert cfg.species.scattering_length == pytest.approx(1.5e-9, rel=1e-12, abs=0)
 
 
 def test_species_override_in_main_section():
     text = GOOD.replace("name = rb87", "name = rb87\nscattering_length = 5.3 nm")
     cfg = parse_config_text(text)
-    assert cfg.species.scattering_length == pytest.approx(5.3e-9, rel=1e-12)
+    assert cfg.species.scattering_length == pytest.approx(5.3e-9, rel=1e-12, abs=0)
 
 
 def test_incomplete_custom_species():

@@ -23,10 +23,10 @@ from casimir_bec.constants import metres_to_microns, microns_to_metres
 
 
 def test_constants_match_reference_values():
-    assert CONST.hbar == pytest.approx(scipy.constants.hbar, rel=1e-9)
+    assert CONST.hbar == pytest.approx(scipy.constants.hbar, rel=1e-9, abs=0)
     assert CONST.c == scipy.constants.c
     assert CONST.k_B == scipy.constants.k
-    assert CONST.eps0 == pytest.approx(scipy.constants.epsilon_0, rel=1e-9)
+    assert CONST.eps0 == pytest.approx(scipy.constants.epsilon_0, rel=1e-9, abs=0)
 
 
 def test_runtime_imports_leave_scipy_out():
@@ -45,24 +45,24 @@ def test_runtime_imports_leave_scipy_out():
 def test_energy_frequency_definition():
     assert energy_to_frequency(0.0) == 0.0
     e = 2.0 * math.pi * CONST.hbar * 77.0
-    assert energy_to_frequency(e) == pytest.approx(77.0, rel=1e-14)
+    assert energy_to_frequency(e) == pytest.approx(77.0, rel=1e-14, abs=0)
 
 
 @given(st.floats(min_value=1e-40, max_value=1e-20))
 def test_energy_frequency_round_trip(e):
-    assert frequency_to_energy(energy_to_frequency(e)) == pytest.approx(e, rel=1e-12)
+    assert frequency_to_energy(energy_to_frequency(e)) == pytest.approx(e, rel=1e-12, abs=0)
 
 
 @given(st.floats(min_value=1e-9, max_value=1.0))
 def test_length_round_trip(x):
-    assert microns_to_metres(metres_to_microns(x)) == pytest.approx(x, rel=1e-12)
+    assert microns_to_metres(metres_to_microns(x)) == pytest.approx(x, rel=1e-12, abs=0)
 
 
 def test_rb87_registry_values():
     sp = species_lookup("Rb87")
     assert sp.polarizability_volume == 47.3e-30
     # AME2020: 86.909180 u
-    assert sp.mass == pytest.approx(1.4432e-25, rel=1e-4)
+    assert sp.mass == pytest.approx(1.4432e-25, rel=1e-4, abs=0)
     assert sp.scattering_length == 5.0e-9
     assert sp.transition_wavelength == pytest.approx(780e-9, rel=1e-2)
 
