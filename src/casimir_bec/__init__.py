@@ -47,7 +47,7 @@ from .errors import (
     PhysicsDomainError,
     UnsupportedConfigurationError,
 )
-from .species import RB87, AtomSpecies, register_species, species_lookup
+from .species import RB87, AtomSpecies, species_lookup
 from .spectrum import (
     BranchSlice,
     GapEntry,
@@ -64,12 +64,10 @@ from .surface import (
     Corrugation,
     LateralPotential,
     PotentialComponent,
-    ResponseFunction,
     SurfaceConfig,
     lateral_coefficients,
     lateral_eval,
     load_tabulated_response,
-    perfect_response,
     response_perfect,
 )
 

@@ -42,28 +42,26 @@ def reduce_to_common_base(pot: LateralPotential) -> tuple[float, dict[int, float
     """Common Bloch wavenumber k_base and the potential coefficients as
     {multiple of k_base: U in J}."""
     comps = pot.components
-    if len(comps) == 1:
-        coeffs = {n: u for n, u in enumerate(comps[0].coefficients, start=1) if u != 0.0}
-        return comps[0].k_c, coeffs
-    if len(comps) != 2:
+    if not 1 <= len(comps) <= 2:
         raise UnsupportedConfigurationError(
             f"BdG supports one or two corrugation fundamentals, got {len(comps)}"
         )
-    k_a, k_b = comps[0].k_c, comps[1].k_c
-    ratio = k_b / k_a
-    frac = Fraction(ratio).limit_denominator(_COMMENSURATE_MAX)
-    p, r = frac.numerator, frac.denominator
-    if p < 1 or p > _COMMENSURATE_MAX or abs(float(frac) - ratio) > 1e-9 * ratio:
-        raise UnsupportedConfigurationError(
-            f"fundamentals with k_c ratio {ratio!r} are not commensurate as p/r with "
-            f"p, r <= {_COMMENSURATE_MAX}; no common Bloch period exists"
-        )
-    k_base = k_a / r
+    k_base, multiples = comps[0].k_c, (1,)
+    if len(comps) == 2:
+        ratio = comps[1].k_c / comps[0].k_c
+        frac = Fraction(ratio).limit_denominator(_COMMENSURATE_MAX)
+        p, r = frac.numerator, frac.denominator
+        if p < 1 or p > _COMMENSURATE_MAX or abs(float(frac) - ratio) > 1e-9 * ratio:
+            raise UnsupportedConfigurationError(
+                f"fundamentals with k_c ratio {ratio!r} are not commensurate as p/r with "
+                f"p, r <= {_COMMENSURATE_MAX}; no common Bloch period exists"
+            )
+        k_base, multiples = comps[0].k_c / r, (r, p)
     coeffs: dict[int, float] = {}
-    for comp, mult in ((comps[0], r), (comps[1], p)):
-        for n, u in enumerate(comp.coefficients, start=1):
-            if u != 0.0:
-                coeffs[n * mult] = coeffs.get(n * mult, 0.0) + u
+    for term in pot.terms:
+        if term.u != 0.0:
+            mult = term.harmonic * multiples[term.fundamental]
+            coeffs[mult] = coeffs.get(mult, 0.0) + term.u
     return k_base, coeffs
 
 
@@ -85,7 +83,7 @@ class BdgProblem:
             # The minimal M = 1 basis (dimension 3) reproduces the two-state
             # reduction but nothing here is converged below M ~ 4.
             warnings.warn(f"plane-wave cutoff M = {self.cutoff} < 4 is below the "
-                          "convergence floor", stacklevel=2)
+                          "convergence floor", stacklevel=3)
         if not self.k_base > 0.0:
             raise UnsupportedConfigurationError(f"k_base must be > 0, got {self.k_base!r}")
         total = sum(abs(u) for _, u in self.potential)
@@ -93,7 +91,7 @@ class BdgProblem:
             warnings.warn(
                 f"sum |U_n| = {total:.4g} J >= mu_tilde = {self.mu_tilde:.4g} J: "
                 "TF background is not positive everywhere; expect an instability error",
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @property
@@ -143,10 +141,6 @@ class ZoneEdgeGap:
     gap: float        # J
     cutoff: int
     mu_tilde: float
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.e_lower + self.e_upper)
 
 
 def _fold(q: float, k_base: float) -> float:
@@ -211,17 +205,13 @@ class BdgBands:
     cutoff: int
     mu_tilde: float
     drift_vs_coarser: float        # max relative gap change from cutoff-2
-    converged: bool | None         # doubling the cutoff moves gaps < 0.1%
+    converged: bool | None         # doubling the cutoff moves gaps < 0.1%; None: no gaps
 
 
 def _all_zone_edge_gaps(mu_tilde, species, pot, cutoff):
-    gaps = []
-    for i, comp in enumerate(pot.components):
-        for n, u in enumerate(comp.coefficients, start=1):
-            if u != 0.0:
-                gaps.append(zone_edge_gap(mu_tilde, species, pot, harmonic=n,
-                                          fundamental=i, cutoff=cutoff))
-    return tuple(gaps)
+    return tuple(zone_edge_gap(mu_tilde, species, pot, harmonic=term.harmonic,
+                               fundamental=term.fundamental, cutoff=cutoff)
+                 for term in pot.terms if term.u != 0.0)
 
 
 def solve_bdg_bands(
@@ -231,7 +221,6 @@ def solve_bdg_bands(
     q_grid=None,
     cutoff: int = 16,
     n_bands: int = 8,
-    check_convergence: bool = True,
 ) -> BdgBands:
     """Bands over the first Brillouin zone of the common period, with
     zone-edge gap estimates and cutoff-convergence metadata."""
@@ -264,9 +253,8 @@ def solve_bdg_bands(
     if gaps:
         coarser = _all_zone_edge_gaps(mu_tilde, species, pot, max(4, cutoff - 2))
         drift = max_rel_change(coarser)
-        if check_convergence:
-            doubled = _all_zone_edge_gaps(mu_tilde, species, pot, 2 * cutoff)
-            converged = max_rel_change(doubled) < 1e-3
+        doubled = _all_zone_edge_gaps(mu_tilde, species, pot, 2 * cutoff)
+        converged = max_rel_change(doubled) < 1e-3
     return BdgBands(q_grid=q_grid, bands=bands, zone_edge_gaps=gaps, k_base=k_base,
                     cutoff=cutoff, mu_tilde=mu_tilde, drift_vs_coarser=drift,
                     converged=converged)

@@ -99,7 +99,6 @@ class DsfSpectrum:
     supports: tuple[tuple[float, float], ...]  # J, (lower, upper) per branch
     branch_weights: tuple[float, ...]
     kind: str                    # "homogeneous" | "lda"
-    n_atoms: float
 
     @property
     def total(self) -> np.ndarray:
@@ -135,8 +134,7 @@ def dsf_homogeneous(q: float, omega_grid, params: Quasi1DParams) -> DsfSpectrum:
     return DsfSpectrum(
         q=q, omega=omega, s_minus=s, s_plus=np.zeros_like(omega),
         resonance_energies=(e_b,), resonance_bins=(i_res,),
-        supports=((e_b, e_b),), branch_weights=(weight,),
-        kind="homogeneous", n_atoms=params.trap.atom_number,
+        supports=((e_b, e_b),), branch_weights=(weight,), kind="homogeneous",
     )
 
 
@@ -247,8 +245,7 @@ def dsf_lda(q: float, omega_grid, params: Quasi1DParams, u_n: float) -> DsfSpect
         return DsfSpectrum(
             q=q, omega=omega, s_minus=s, s_plus=np.zeros_like(omega),
             resonance_energies=(support[1],), resonance_bins=(i_res,),
-            supports=(support,), branch_weights=(w,),
-            kind="lda", n_atoms=params.trap.atom_number,
+            supports=(support,), branch_weights=(w,), kind="lda",
         )
     s_minus, i_minus, sup_minus, w_minus = _sample_branch(q, params, u_abs, -1, omega)
     s_plus, i_plus, sup_plus, w_plus = _sample_branch(q, params, u_abs, +1, omega)
@@ -257,8 +254,7 @@ def dsf_lda(q: float, omega_grid, params: Quasi1DParams, u_n: float) -> DsfSpect
         resonance_energies=(sup_minus[1], sup_plus[1]),
         resonance_bins=(i_minus, i_plus),
         supports=(sup_minus, sup_plus),
-        branch_weights=(w_minus, w_plus),
-        kind="lda", n_atoms=params.trap.atom_number,
+        branch_weights=(w_minus, w_plus), kind="lda",
     )
 
 
@@ -361,10 +357,9 @@ def _sine_term(pot: LateralPotential | None, params: Quasi1DParams,
     x = np.linspace(-half + displacement, half + displacement, 2**13)
     n1 = params.peak_density * np.maximum(0.0, 1.0 - ((x - displacement) / half) ** 2)
     total = 0.0
-    for comp in pot.components:
-        for n, u in enumerate(comp.coefficients, start=1):
-            if u != 0.0:
-                total += u * (n * comp.k_c) * float(np.trapezoid(n1 * np.sin(n * comp.k_c * x), x))
+    for term in pot.terms:
+        if term.u != 0.0:
+            total += term.u * term.k * float(np.trapezoid(n1 * np.sin(term.k * x), x))
     return total
 
 

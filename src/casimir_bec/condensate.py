@@ -52,7 +52,7 @@ class TrapConfig:
             warnings.warn(
                 f"trap aspect ratio omega_r/omega_x = {self.omega_r / self.omega_x:.3g} <= 10; "
                 "the elongated quasi-1D treatment assumes omega_r >> omega_x",
-                stacklevel=2,
+                stacklevel=3,
             )
 
 
@@ -126,11 +126,12 @@ def tf_axial_density(
     if pot is not None:
         u_lateral = lateral_eval(pot, x)
         if np.max(u_lateral) >= params.mu_tilde:
-            u_max, n_worst, k_worst = pot.max_abs_coefficient()
+            worst = max(pot.terms, key=lambda term: abs(term.u))
             raise PhysicsDomainError(
                 "TF positivity violated: lateral potential reaches "
                 f"{np.max(u_lateral):.4g} J ({energy_to_frequency(np.max(u_lateral)):.4g} Hz), "
-                f"largest coefficient |U_{n_worst}| = {u_max:.4g} J at k_c = {k_worst:.4g} rad/m, "
+                f"largest coefficient |U_{worst.harmonic}| = {abs(worst.u):.4g} J "
+                f"at k_c = {worst.k_c:.4g} rad/m, "
                 f"but mu_tilde = {params.mu_tilde:.4g} J"
             )
         envelope = envelope - u_lateral
@@ -189,10 +190,6 @@ class RegimeCheck:
 @dataclass(frozen=True)
 class RegimeReport:
     checks: tuple[RegimeCheck, ...]
-
-    @property
-    def warnings(self) -> tuple[RegimeCheck, ...]:
-        return tuple(c for c in self.checks if c.status == "warn")
 
     def to_rows(self) -> list[dict]:
         return [

@@ -53,14 +53,9 @@ def _probe_dsf(config: RunConfig, params, pot):
         q = settings.q
     else:
         q = settings.harmonic * pot.components[0].k_c / 2.0
-    u_matched = 0.0
-    for comp in pot.components:
-        for n, u in enumerate(comp.coefficients, start=1):
-            if abs(n * comp.k_c / 2.0 - q) <= 1e-6 * max(q, comp.k_c):
-                u_matched = u
-                break
-        if u_matched != 0.0:
-            break
+    # The first nonzero match, else the last zero one (-0.0 on a flat surface).
+    matched = [t.u for t in pot.terms if abs(t.k / 2.0 - q) <= 1e-6 * max(q, t.k_c)]
+    u_matched = next((u for u in matched if u != 0.0), matched[-1] if matched else 0.0)
     grid = default_lda_grid(params, q, abs(u_matched), n_points=config.numerics.omega_points)
     return q, u_matched, dsf_lda(q, grid, params, u_matched)
 
@@ -72,9 +67,8 @@ def _potential_stage(config: RunConfig, params, pot):
     return [
         ("potential_coefficients.csv",
          ["fundamental", "k_c_radpm", "harmonic", "k_radpm", "U_J", "U_over_2pihbar_Hz"],
-         [[i, comp.k_c, n, n * comp.k_c, u, energy_to_frequency(u)]
-          for i, comp in enumerate(pot.components)
-          for n, u in enumerate(comp.coefficients, start=1)],
+         [[t.fundamental, t.k_c, t.harmonic, t.k, t.u, energy_to_frequency(t.u)]
+          for t in pot.terms],
          {"z_cm_m": config.surface.z_cm, "material": config.surface.material}),
         ("potential_profile.csv", ["x_m", "x_um", "U_J", "U_over_2pihbar_Hz"],
          [[xi, xi * 1e6, ui, energy_to_frequency(ui)] for xi, ui in zip(x, u_x)], {}),
@@ -107,7 +101,6 @@ def _bdg_stage(config: RunConfig, params, pot):
     bands = bdg_mod.solve_bdg_bands(
         params.mu_tilde, config.species, pot, q_grid=q_grid,
         cutoff=config.numerics.bdg_cutoff, n_bands=config.numerics.bdg_bands,
-        check_convergence=True,
     )
     comparison = bdg_mod.oracle_compare(gaps, bands)
     sections["oracle_compare"] = {
@@ -231,10 +224,9 @@ def _summary_base(config: RunConfig, command: str, params, pot, report):
             "flags": {"quasi1d": params.flags.quasi1d, "tight_aspect": params.flags.tight_aspect},
         },
         "potential": [
-            {"fundamental": i, "k_c_radpm": comp.k_c, "harmonic": n,
-             "U_J": u, "U_over_2pihbar_Hz": energy_to_frequency(u)}
-            for i, comp in enumerate(pot.components)
-            for n, u in enumerate(comp.coefficients, start=1)
+            {"fundamental": t.fundamental, "k_c_radpm": t.k_c, "harmonic": t.harmonic,
+             "U_J": t.u, "U_over_2pihbar_Hz": energy_to_frequency(t.u)}
+            for t in pot.terms
         ],
         "regime": report.to_rows(),
     }

@@ -74,6 +74,3 @@ def species_lookup(name: str, **overrides) -> AtomSpecies:
         )
     return AtomSpecies(name=name, **overrides)
 
-
-def register_species(species: AtomSpecies) -> None:
-    _REGISTRY[species.name.lower()] = species

@@ -61,7 +61,6 @@ class GapEntry:
 
 @dataclass(frozen=True)
 class GapReport:
-    species_name: str
     mu_tilde: float
     entries: tuple[GapEntry, ...]
 
@@ -75,27 +74,25 @@ class GapReport:
 def perturbative_gaps(params: Quasi1DParams, pot: LateralPotential) -> GapReport:
     """One gap entry per nonzero Fourier coefficient of the lateral potential."""
     entries = []
-    for i, comp in enumerate(pot.components):
-        for n, u_n in enumerate(comp.coefficients, start=1):
-            if u_n == 0.0:
-                continue
-            q_n = n * comp.k_c / 2.0
-            e_b = bogoliubov_dispersion(q_n, params.mu_tilde, params.species)
-            ratio = abs(u_n) / e_b
-            if ratio > 0.1:
-                warnings.warn(
-                    f"|U_{n}|/E_B(q_{n}) = {ratio:.3g} > 0.1: first-order gap formula "
-                    "is outside its comfort zone",
-                    stacklevel=2,
-                )
-            f_qn = suppression_factor(q_n, params.mu_tilde, params.species)
-            gap = abs(u_n) * f_qn
-            entries.append(GapEntry(
-                fundamental=i, harmonic=n, k_c=comp.k_c, q_n=q_n, u_n=u_n,
-                f_qn=f_qn, gap=gap, gap_over_eb=gap / e_b,
-            ))
-    return GapReport(species_name=params.species.name, mu_tilde=params.mu_tilde,
-                     entries=tuple(entries))
+    for term in pot.terms:
+        if term.u == 0.0:
+            continue
+        n, q_n = term.harmonic, term.k / 2.0
+        e_b = bogoliubov_dispersion(q_n, params.mu_tilde, params.species)
+        ratio = abs(term.u) / e_b
+        if ratio > 0.1:
+            warnings.warn(
+                f"|U_{n}|/E_B(q_{n}) = {ratio:.3g} > 0.1: first-order gap formula "
+                "is outside its comfort zone",
+                stacklevel=2,
+            )
+        f_qn = suppression_factor(q_n, params.mu_tilde, params.species)
+        gap = abs(term.u) * f_qn
+        entries.append(GapEntry(
+            fundamental=term.fundamental, harmonic=n, k_c=term.k_c, q_n=q_n, u_n=term.u,
+            f_qn=f_qn, gap=gap, gap_over_eb=gap / e_b,
+        ))
+    return GapReport(mu_tilde=params.mu_tilde, entries=tuple(entries))
 
 
 @dataclass(frozen=True)
@@ -209,7 +206,6 @@ MIXING_SEPARATION_FACTOR = 10.0
 @dataclass(frozen=True)
 class CoupledModeReport:
     momenta: tuple[float, ...]          # rad/m, basis states of the block
-    eigenvalues: np.ndarray             # J, sorted ascending
     splittings: tuple[float, float]     # J, per fundamental
     independent_gaps: tuple[float, float]  # J, isolated 2x2 results
     deviations: tuple[float, float]     # relative, splitting/independent - 1
@@ -233,12 +229,10 @@ def coupled_mode_gaps(params: Quasi1DParams, pot: LateralPotential) -> CoupledMo
         raise UnsupportedConfigurationError(
             f"coupled-mode analysis needs exactly two fundamentals, got {len(pot.components)}"
         )
-    for comp in pot.components:
-        nonzero = [n for n, u in enumerate(comp.coefficients, start=1) if u != 0.0]
-        if nonzero not in ([], [1]):
-            raise UnsupportedConfigurationError(
-                "coupled-mode analysis supports a single leading harmonic per fundamental"
-            )
+    if any(term.u != 0.0 and term.harmonic != 1 for term in pot.terms):
+        raise UnsupportedConfigurationError(
+            "coupled-mode analysis supports a single leading harmonic per fundamental"
+        )
 
     mu, sp = params.mu_tilde, params.species
     k1, k2 = (comp.k_c for comp in pot.components)
@@ -301,7 +295,6 @@ def coupled_mode_gaps(params: Quasi1DParams, pot: LateralPotential) -> CoupledMo
     sep_ratio = separation / dk_min if dk_min > 0.0 else math.inf
     return CoupledModeReport(
         momenta=tuple(momenta),
-        eigenvalues=eigenvalues,
         splittings=splittings,
         independent_gaps=independent,
         deviations=deviations,

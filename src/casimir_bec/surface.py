@@ -13,7 +13,8 @@ reflector in the retarded limit
               * exp(-Z) * (1 + Z + 16*Z^2/45 + Z^3/45),   Z = k*z,
 
 with alpha0/eps0 the static polarizability volume.  Real materials enter
-through a scalar conductivity factor eta_F in [0, 1], or through an
+through a scalar conductivity factor eta_F in [0, 1] on that kernel, or
+through any other response: a callable (k, z) -> g, such as an
 externally tabulated g(k, z).
 """
 
@@ -23,7 +24,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -56,9 +57,9 @@ class Corrugation:
 class SurfaceConfig:
     """Corrugated surface seen by the cloud at separation z_cm.
 
-    eta_f = 1 means a perfect reflector; a tabulated response (set by the
-    config layer) replaces the perfect-reflector kernel entirely and
-    ignores eta_f.
+    eta_f = 1 means a perfect reflector.  A tabulated response replaces the
+    perfect-reflector kernel and holds its own material, so eta_f must stay
+    1 next to response_file.
     """
 
     fundamentals: tuple[Corrugation, ...]
@@ -71,6 +72,9 @@ class SurfaceConfig:
             raise ConfigurationError(f"surface separation must be > 0, got {self.z_cm!r}")
         if not 0.0 <= self.eta_f <= 1.0:
             raise ConfigurationError(f"eta_f must lie in [0, 1], got {self.eta_f!r}")
+        if self.response_file is not None and self.eta_f != 1.0:
+            raise ConfigurationError(
+                f"give eta_f or response_file, not both (eta_f = {self.eta_f!r})")
         if len(self.fundamentals) == 0:
             raise ConfigurationError("surface needs at least one corrugation fundamental")
         h_max = max(max(c.amplitudes) for c in self.fundamentals)
@@ -82,7 +86,7 @@ class SurfaceConfig:
                 f"corrugation amplitude {h_max:.3g} m is not the smallest length scale "
                 f"(min of wavelength and separation: {scale:.3g} m); first-order "
                 "lateral coefficients are unreliable here",
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @property
@@ -90,17 +94,6 @@ class SurfaceConfig:
         if self.response_file is not None:
             return "tabulated"
         return "perfect" if self.eta_f == 1.0 else "scalar_eta"
-
-
-@dataclass(frozen=True)
-class ResponseFunction:
-    """Evaluator (k, z) -> g in J/m with a provenance tag."""
-
-    evaluate: Callable[[float, float], float]
-    provenance: str  # "perfect-reflector" | "tabulated"
-
-    def __call__(self, k, z):
-        return self.evaluate(k, z)
 
 
 def response_perfect(k, z: float, species: AtomSpecies):
@@ -122,19 +115,25 @@ def response_perfect(k, z: float, species: AtomSpecies):
     return float(g) if np.isscalar(k) or k_arr.ndim == 0 else g
 
 
-def perfect_response(species: AtomSpecies) -> ResponseFunction:
-    return ResponseFunction(
-        evaluate=lambda k, z: response_perfect(k, z, species),
-        provenance="perfect-reflector",
-    )
-
-
 @dataclass(frozen=True)
 class PotentialComponent:
     """Lateral Fourier coefficients for one corrugation fundamental."""
 
     k_c: float                       # rad/m
     coefficients: tuple[float, ...]  # U_n in J (signed, attractive < 0), n = 1..J
+
+
+class Term(NamedTuple):
+    """One Fourier term U cos(k x) of the lateral potential, k = harmonic * k_c."""
+
+    fundamental: int  # index into LateralPotential.components
+    k_c: float        # rad/m
+    harmonic: int     # n, from 1
+    u: float          # J, signed; zero terms are kept
+
+    @property
+    def k(self) -> float:
+        return self.harmonic * self.k_c
 
 
 @dataclass(frozen=True)
@@ -147,34 +146,28 @@ class LateralPotential:
 
     components: tuple[PotentialComponent, ...]
 
-    def max_abs_coefficient(self) -> tuple[float, int, float]:
-        """(|U|, harmonic n, k_c) of the largest coefficient."""
-        best = (0.0, 0, 0.0)
-        for comp in self.components:
-            for n, u in enumerate(comp.coefficients, start=1):
-                if abs(u) > best[0]:
-                    best = (abs(u), n, comp.k_c)
-        return best
+    @property
+    def terms(self) -> tuple[Term, ...]:
+        """Every coefficient as a Term, in component order; the zone edge
+        of a term is q_n = k/2."""
+        return tuple(Term(i, comp.k_c, n, u)
+                     for i, comp in enumerate(self.components)
+                     for n, u in enumerate(comp.coefficients, start=1))
 
 
 def lateral_coefficients(
     surface: SurfaceConfig,
     species: AtomSpecies,
-    response: ResponseFunction | None = None,
+    response: Callable[[float, float], float] | None = None,
 ) -> LateralPotential:
     """Fourier coefficients U_n = h_n * g(n*k_c, z_cm) of the lateral potential.
 
-    With the default perfect-reflector response the scalar eta_f multiplies
-    every coefficient; a tabulated response is used as-is (the material
-    correction is already baked into the table).
+    ``response`` is any (k, z) -> g in J/m, used as is; it defaults to the
+    perfect reflector, scaled by eta_f.
     """
+    scale = surface.eta_f if response is None else 1.0
     if response is None:
-        response = perfect_response(species)
-        scale = surface.eta_f
-    elif response.provenance == "perfect-reflector":
-        scale = surface.eta_f
-    else:
-        scale = 1.0
+        response = lambda k, z: response_perfect(k, z, species)  # noqa: E731
     components = []
     for corr in surface.fundamentals:
         coeffs = tuple(
@@ -189,33 +182,35 @@ def lateral_eval(pot: LateralPotential, x):
     """Evaluate U_L(x) in J; x scalar or array in m."""
     x_arr = np.asarray(x, dtype=float)
     total = np.zeros_like(x_arr)
-    for comp in pot.components:
-        for n, u in enumerate(comp.coefficients, start=1):
-            if u != 0.0:
-                total = total + u * np.cos(n * comp.k_c * x_arr)
+    for term in pot.terms:
+        if term.u != 0.0:
+            total = total + term.u * np.cos(term.k * x_arr)
     return float(total) if np.isscalar(x) or x_arr.ndim == 0 else total
 
 
-def load_tabulated_response(path: str) -> ResponseFunction:
+def load_tabulated_response(path: str) -> Callable[[float, float], float]:
     """Load a rectangular (k, z) -> g grid and return a bilinear interpolator.
 
     File format: CSV with header ``k_radpm,z_m,g_Jpm``, rows in row-major
-    order (k outer, z inner), both axes strictly increasing.  Queries
-    outside the grid raise ExtrapolationError; there is no extrapolation.
+    order (k outer, z inner), both axes strictly increasing; lines starting
+    with '#' are comments.  A refusal names the file's own line number.
+    Queries outside the grid raise ExtrapolationError; there is no
+    extrapolation.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            lines = [line for line in fh if not line.startswith("#")]
-    except (OSError, UnicodeDecodeError) as exc:
+            # (line number in the file, cells) of each line that is not a comment
+            numbered = [(i, next(csv.reader([line]), [])) for i, line in enumerate(fh, start=1)
+                        if not line.startswith("#")]
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ConfigurationError(f"cannot read response table {path!r}: {exc}") from None
-    reader = csv.reader(lines)
-    header = next(reader, None)
+    header = numbered[0][1] if numbered else None
     if header is None or [c.strip() for c in header] != ["k_radpm", "z_m", "g_Jpm"]:
         raise ConfigurationError(
             f"{path}: expected header 'k_radpm,z_m,g_Jpm', got {header!r}"
         )
     rows = []
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in numbered[1:]:
         if not row:
             continue
         if len(row) != 3:
@@ -265,4 +260,4 @@ def load_tabulated_response(path: str) -> ResponseFunction:
         upper = (1.0 - tz) * values[i + 1, j] + tz * values[i + 1, j + 1]
         return float((1.0 - tk) * lower + tk * upper)
 
-    return ResponseFunction(evaluate=evaluate, provenance="tabulated")
+    return evaluate

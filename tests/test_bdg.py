@@ -158,8 +158,7 @@ def test_bloch_periodicity(params, pot):
 
 
 def test_solve_bdg_bands_metadata(params, pot):
-    bands = solve_bdg_bands(params.mu_tilde, RB87, pot, cutoff=16, n_bands=4,
-                            check_convergence=True)
+    bands = solve_bdg_bands(params.mu_tilde, RB87, pot, cutoff=16, n_bands=4)
     assert bands.converged is True
     assert bands.drift_vs_coarser < 1e-3
     assert bands.bands.shape == (33, 4)
@@ -168,7 +167,7 @@ def test_solve_bdg_bands_metadata(params, pot):
 
 
 def test_goldstone_zero_appears_once(params, pot):
-    bands = solve_bdg_bands(params.mu_tilde, RB87, pot, check_convergence=False)
+    bands = solve_bdg_bands(params.mu_tilde, RB87, pot)
     centre = int(np.flatnonzero(bands.q_grid == 0.0)[0])
     row = bands.bands[centre]
     assert np.count_nonzero(row < 1e-9 * params.mu_tilde) == 1
@@ -286,8 +285,7 @@ def test_mixing_onset_cross_check():
 
 def test_oracle_compare_rows(params, pot):
     gaps = perturbative_gaps(params, pot)
-    bands = solve_bdg_bands(params.mu_tilde, RB87, pot, cutoff=16,
-                            check_convergence=False)
+    bands = solve_bdg_bands(params.mu_tilde, RB87, pot, cutoff=16)
     report = oracle_compare(gaps, bands)
     assert report.all_pass
     row = report.rows[0]
@@ -309,8 +307,7 @@ def test_out_of_regime_run_reports_measured_deviation(params, pot):
         warnings.simplefilter("ignore")
         big = _single_pot(k_c, 0.5 * e_b)
         gaps = perturbative_gaps(params, big)
-        bands = solve_bdg_bands(params.mu_tilde, RB87, big, cutoff=16,
-                                check_convergence=False)
+        bands = solve_bdg_bands(params.mu_tilde, RB87, big, cutoff=16)
     report = oracle_compare(gaps, bands)
     row = report.rows[0]
     assert row.tolerance == pytest.approx(2.5, rel=1e-12)
@@ -344,15 +341,13 @@ def test_oracle_compare_zero_potential_passes(params, pot):
     k_c = pot.components[0].k_c
     flat = _single_pot(k_c, 0.0)
     gaps = perturbative_gaps(params, flat)
-    bands = solve_bdg_bands(params.mu_tilde, RB87, flat, cutoff=8,
-                            check_convergence=False)
+    bands = solve_bdg_bands(params.mu_tilde, RB87, flat, cutoff=8)
     report = oracle_compare(gaps, bands)
     assert report.all_pass and report.rows == ()
 
 
 def test_oracle_compare_contract(params, pot):
     gaps = perturbative_gaps(params, pot)
-    bands = solve_bdg_bands(0.5 * params.mu_tilde, RB87, pot, cutoff=8,
-                            check_convergence=False)
+    bands = solve_bdg_bands(0.5 * params.mu_tilde, RB87, pot, cutoff=8)
     with pytest.raises(ContractError):
         oracle_compare(gaps, bands)

@@ -126,6 +126,16 @@ def test_tf_positivity_violation(params):
         tf_axial_density(params, pot=huge)
 
 
+def test_tf_positivity_names_the_largest_term(params):
+    pot = LateralPotential(components=(
+        PotentialComponent(k_c=6.4e5, coefficients=(0.5 * params.mu_tilde,)),
+        PotentialComponent(k_c=3.2e5, coefficients=(0.0, -2.0 * params.mu_tilde)),
+    ))
+    with pytest.raises(PhysicsDomainError,
+                       match=r"largest coefficient \|U_2\| = .* J at k_c = 3\.2e\+05 rad/m"):
+        tf_axial_density(params, pot=pot)
+
+
 # --- dispersion -------------------------------------------------------------
 
 

@@ -14,7 +14,12 @@ from hypothesis import strategies as st
 import casimir_bec
 from casimir_bec import (
     CONST,
+    RB87,
+    BdgProblem,
     ConfigurationError,
+    Corrugation,
+    SurfaceConfig,
+    TrapConfig,
     energy_to_frequency,
     frequency_to_energy,
     species_lookup,
@@ -92,3 +97,15 @@ def test_unknown_species_with_full_parameters():
 def test_species_rejects_nonpositive_fields():
     with pytest.raises(ConfigurationError, match="mass"):
         species_lookup("rb87", mass=-1.0)
+
+
+def test_post_init_warnings_name_the_caller():
+    # The warn-only checks of the dataclasses report the line that built
+    # the object, not the generated __init__.
+    with pytest.warns(UserWarning) as record:
+        TrapConfig(omega_r=10.0, omega_x=2.0, atom_number=10)
+        SurfaceConfig(fundamentals=(Corrugation(k_c=1e6, amplitudes=(5e-6,)),), z_cm=1e-6)
+        BdgProblem(mu_tilde=1e-31, species=RB87, k_base=1e6, potential=((1, 2e-31),),
+                   q_bloch=0.0, cutoff=2)
+    assert len(record) == 4
+    assert {w.filename for w in record} == {__file__}

@@ -124,6 +124,34 @@ def test_lateral_eval_periodicity(x):
     assert a == pytest.approx(b, rel=1e-12, abs=1e-46)
 
 
+def test_terms_number_every_coefficient():
+    # One term per coefficient, zeros kept, in component order; k = n * k_c.
+    pot = LateralPotential(components=(
+        PotentialComponent(k_c=K_C, coefficients=(-2e-34, 0.0, 3e-35)),
+        PotentialComponent(k_c=1.25 * K_C, coefficients=(0.0,)),
+    ))
+    assert [tuple(t) for t in pot.terms] == [
+        (0, K_C, 1, -2e-34), (0, K_C, 2, 0.0), (0, K_C, 3, 3e-35), (1, 1.25 * K_C, 1, 0.0)]
+    assert [t.k for t in pot.terms] == [K_C, 2 * K_C, 3 * K_C, 1.25 * K_C]
+
+
+def test_response_is_any_callable_used_as_is():
+    surf = SurfaceConfig(fundamentals=(Corrugation(k_c=K_C, amplitudes=(1e-6, 5e-7)),),
+                         z_cm=Z_CM, eta_f=0.5)
+    pot = lateral_coefficients(surf, RB87, lambda k, z: -1e-28 * k * z)
+    assert pot.components[0].coefficients == pytest.approx(
+        (-1e-34 * K_C * Z_CM, -1e-34 * K_C * Z_CM), rel=1e-15, abs=0)
+
+
+def test_eta_f_with_response_file_refused():
+    # A tabulated response holds its own material; eta_f would be ignored.
+    fundamentals = (Corrugation(k_c=K_C, amplitudes=(1e-6,)),)
+    with pytest.raises(ConfigurationError, match="give eta_f or response_file, not both"):
+        SurfaceConfig(fundamentals=fundamentals, z_cm=Z_CM, eta_f=0.5, response_file="g.csv")
+    surf = SurfaceConfig(fundamentals=fundamentals, z_cm=Z_CM, response_file="g.csv")
+    assert surf.material == "tabulated"
+
+
 def test_surface_validation():
     with pytest.raises(ConfigurationError):
         SurfaceConfig(fundamentals=(Corrugation(k_c=K_C, amplitudes=(1e-6,)),), z_cm=-1.0)
@@ -150,7 +178,6 @@ def test_tabulated_matches_nodes(tmp_path):
     z_axis = np.linspace(1e-6, 5e-6, 9)
     _write_grid(path, k_axis, z_axis, lambda k, z: response_perfect(k, z, RB87))
     resp = load_tabulated_response(str(path))
-    assert resp.provenance == "tabulated"
     # The table is written at 10 significant digits, so its k, z and g each
     # carry up to 5e-10 relative rounding.  Through g ~ z^-5 exp(-kz) the
     # rounded nodes move the lookup by up to 2.0e-9 here; the log-slopes
@@ -233,6 +260,24 @@ def test_tabulated_malformed(tmp_path):
     wrong_order.write_text("k_radpm,z_m,g_Jpm\n2,1,1\n2,2,1\n1,1,1\n1,2,1\n")
     with pytest.raises(ConfigurationError, match="increasing"):
         load_tabulated_response(str(wrong_order))
+
+
+def test_tabulated_refusal_names_the_file_line(tmp_path):
+    # write_csv puts '#' metadata lines above the header; a refusal counts
+    # them, so it names the line an editor shows.
+    path = tmp_path / "c.csv"
+    write_csv(path, ["k_radpm", "z_m", "g_Jpm"], [[1.0, 1.0, 1.0], [1.0, 2.0, 1.0]],
+              {"source": "test", "units": "SI"})
+    lines = path.read_text().splitlines()
+    assert lines[:3] == ["# source = test", "# units = SI", "k_radpm,z_m,g_Jpm"]
+    lines[4] = "1,x,1"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigurationError, match=r"c\.csv:5: could not convert string"):
+        load_tabulated_response(str(path))
+    lines[4] = "1,2"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigurationError, match=r"c\.csv:5: expected 3 columns"):
+        load_tabulated_response(str(path))
 
 
 def test_tabulated_used_for_coefficients(tmp_path):
