@@ -24,6 +24,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -167,7 +168,7 @@ def lateral_coefficients(
     """
     scale = surface.eta_f if response is None else 1.0
     if response is None:
-        response = lambda k, z: response_perfect(k, z, species)  # noqa: E731
+        response = partial(response_perfect, species=species)
     components = []
     for corr in surface.fundamentals:
         coeffs = tuple(

@@ -280,6 +280,14 @@ def test_tabulated_refusal_names_the_file_line(tmp_path):
         load_tabulated_response(str(path))
 
 
+def test_tabulated_unparsable_field_refused(tmp_path):
+    # A field beyond the csv module's size limit is a refusal, not a csv.Error.
+    path = tmp_path / "big.csv"
+    path.write_text("k_radpm,z_m,g_Jpm\n1,2," + "1" * 200_000 + "\n")
+    with pytest.raises(ConfigurationError, match="cannot read response table .*field limit"):
+        load_tabulated_response(str(path))
+
+
 def test_tabulated_used_for_coefficients(tmp_path):
     path = tmp_path / "resp.csv"
     k_axis = np.linspace(0.5 * K_C, 3.0 * K_C, 11)
