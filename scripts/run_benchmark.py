@@ -20,7 +20,7 @@ from casimir_bec import (
 )
 from casimir_bec.bdg import zone_edge_gap
 from casimir_bec.benchmarks import benchmark_params, benchmark_surface
-from casimir_bec.emit import write_csv
+from casimir_bec.emit import table, write_csv
 
 
 def main() -> None:
@@ -61,10 +61,10 @@ def main() -> None:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         write_csv(out / "benchmark_gaps.csv",
-                  ["harmonic", "q_n_radpm", "U_Hz", "F_qn", "gap_Hz", "gap_bdg_Hz"],
-                  [[entry.harmonic, entry.q_n, energy_to_frequency(entry.u_n),
-                    entry.f_qn, energy_to_frequency(entry.gap),
-                    energy_to_frequency(numeric.gap)]])
+                  table(["harmonic", "q_n_radpm", "U_Hz", "F_qn", "gap_Hz", "gap_bdg_Hz"],
+                        [[entry.harmonic, entry.q_n, energy_to_frequency(entry.u_n),
+                          entry.f_qn, energy_to_frequency(entry.gap),
+                          energy_to_frequency(numeric.gap)]]))
         print(f"\nwrote {out / 'benchmark_gaps.csv'}")
 
 

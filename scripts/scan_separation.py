@@ -25,7 +25,7 @@ from casimir_bec import (
     suppression_factor,
 )
 from casimir_bec.benchmarks import benchmark_params
-from casimir_bec.emit import write_csv
+from casimir_bec.emit import table, write_csv
 
 
 def main() -> None:
@@ -61,8 +61,7 @@ def main() -> None:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "gap_vs_separation.csv",
-              ["lambda_c_um", "z_cm_um", "U1_Hz", "F_q1", "gap_Hz", "E_B_Hz"],
-              rows,
+              table(["lambda_c_um", "z_cm_um", "U1_Hz", "F_q1", "gap_Hz", "E_B_Hz"], rows),
               metadata={"amplitude_um": args.amplitude,
                         "trap": "reference scenario (see benchmarks module)"})
     print(f"wrote {out / 'gap_vs_separation.csv'} ({len(rows)} rows)")

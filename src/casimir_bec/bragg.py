@@ -318,11 +318,9 @@ def _drive_at(times, pulse: BraggPulse, dsf_pos: DsfSpectrum,
         # sin(delta*t)/delta, exact at delta = 0
         return t * np.sinc(delta[None, :] * t / math.pi)
 
-    _check_support(dsf_pos, pulse.tau)
     node_w = _trapezoid_node_weights(dsf_pos.omega)
     drive = prefactor * (kernel(pulse.omega - dsf_pos.omega) @ (dsf_pos.total * node_w))
     if dsf_neg is not None:
-        _check_support(dsf_neg, pulse.tau)
         node_w_neg = _trapezoid_node_weights(dsf_neg.omega)
         drive = drive - prefactor * (
             kernel(pulse.omega + dsf_neg.omega) @ (dsf_neg.total * node_w_neg)
@@ -386,7 +384,11 @@ def bragg_signal(
     if dsf_pos is None:
         raise ContractError("bragg_signal needs the +q spectrum")
     times = np.linspace(0.0, pulse.tau, n_time)
-    drive = _drive_at(times, pulse, dsf_pos, dsf_neg) if pulse.v_b != 0.0 else np.zeros_like(times)
+    drive = np.zeros_like(times)
+    if pulse.v_b != 0.0:
+        for dsf in [d for d in (dsf_pos, dsf_neg) if d is not None]:
+            _check_support(dsf, pulse.tau)  # here, so a warning names our caller
+        drive = _drive_at(times, pulse, dsf_pos, dsf_neg)
     sine = _sine_term(pot, params, displacement)
     sine_arr = np.full_like(times, sine)
 

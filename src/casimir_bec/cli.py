@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .benchmarks import validate_reference
 from .config import parse_config
-from .emit import write_csv
+from .emit import table, write_csv
 from .errors import CasimirBecError, ConfigurationError
 from .pipeline import STAGES, run_scenario
 
@@ -39,11 +39,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_validation(table) -> None:
+def _print_validation(result) -> None:
     widths = (28, 12, 14, 12, 10, 6)
     header = ("quantity", "expected", "computed", "deviation", "tolerance", "status")
     print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-    for row in table.rows:
+    for row in result.rows:
         cells = (
             row.quantity,
             f"{row.expected:.6g}",
@@ -57,19 +57,18 @@ def _print_validation(table) -> None:
 
 def _validate(out_dir) -> int:
     started = time.perf_counter()
-    table = validate_reference()
+    result = validate_reference()
     elapsed = time.perf_counter() - started
-    _print_validation(table)
-    print(f"# {sum(r.passed for r in table.rows)}/{len(table.rows)} rows pass "
+    _print_validation(result)
+    print(f"# {sum(r.passed for r in result.rows)}/{len(result.rows)} rows pass "
           f"in {elapsed:.1f} s")
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         write_csv(out / "validation_table.csv",
-                  ["quantity", "expected", "computed", "deviation", "tolerance",
-                   "mode", "status"],
-                  table.to_rows())
-    return 0 if table.all_pass else 1
+                  table(["quantity", "expected", "computed", "deviation", "tolerance",
+                         "mode", "status"], result.to_rows()))
+    return 0 if result.all_pass else 1
 
 
 def _run_stage(command: str, config_path: str, out_dir: str) -> int:

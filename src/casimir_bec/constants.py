@@ -40,11 +40,3 @@ def energy_to_frequency(energy):
 def frequency_to_energy(frequency):
     """Ordinary frequency in Hz to energy in J, E = 2*pi*hbar*f."""
     return TWO_PI * HBAR * frequency
-
-
-def metres_to_microns(length):
-    return length * 1e6
-
-
-def microns_to_metres(length):
-    return length * 1e-6

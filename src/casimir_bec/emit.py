@@ -1,9 +1,10 @@
-"""Deterministic table and summary emitters.
+"""Deterministic table and summary emitters: the one owner of the output format.
 
-Data files are UTF-8 CSV with LF endings, '#'-prefixed metadata lines, a
-header row naming every column with its unit, and 10 significant digits.
-Identical inputs produce byte-identical files: no timestamps, no
-environment-dependent content.
+A table maps each column header (name and unit) to a 1-D column.  A CSV is
+UTF-8 with LF endings: '#' metadata lines, the header, one row per index.
+A column's numpy kind picks the format of the whole column: float %.9e (10
+significant digits), int %d, bool true/false, else %s.  Identical inputs
+give byte-identical files: no timestamps, no environment-dependent content.
 """
 
 from __future__ import annotations
@@ -11,26 +12,38 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
+
+_FORMATS = {"f": "%.9e", "i": "%d", "u": "%d"}
+
 
 def format_value(value) -> str:
+    """One metadata value; a list or tuple is joined with ';'."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
-        return f"{value:.9e}"
+        return _FORMATS["f"] % value
+    if isinstance(value, (list, tuple)):
+        return ";".join(format_value(v) for v in value)
     return str(value)
 
 
-def write_csv(path, columns, rows, metadata: dict | None = None) -> None:
-    lines = []
-    for key, value in (metadata or {}).items():
-        lines.append(f"# {key} = {format_value(value)}")
-    lines.append(",".join(columns))
-    for row in rows:
-        if len(row) != len(columns):
-            raise ValueError(f"row width {len(row)} != header width {len(columns)}")
-        lines.append(",".join(format_value(v) for v in row))
+def table(columns, rows) -> dict:
+    """Record rows as a table {column: values}; with no rows the header stays."""
+    cells = list(zip(*rows, strict=True)) or [()] * len(columns)
+    return dict(zip(columns, cells, strict=True))
+
+
+def write_csv(path, table: dict, metadata: dict | None = None) -> None:
+    columns = [np.asarray(c) for c in table.values()]
+    if any(c.ndim != 1 or len(c) != len(columns[0]) for c in columns):
+        raise ValueError("columns must be 1-D and of equal length, got shapes "
+                         f"{[c.shape for c in columns]}")
+    columns = [np.where(c, "true", "false") if c.dtype.kind == "b" else c for c in columns]
+    template = ",".join(_FORMATS.get(c.dtype.kind, "%s") for c in columns)
+    lines = [f"# {key} = {format_value(value)}" for key, value in (metadata or {}).items()]
+    lines.append(",".join(table))
+    lines.extend(template % row for row in zip(*(c.tolist() for c in columns)))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 

@@ -3,16 +3,16 @@
 ``STAGES`` maps each command to ``(help text, stage)``; the CLI builds its
 subcommands from it.  ``stage(config, params, pot)`` computes and writes
 nothing.  It returns ``(tables, sections)``: each table is ``(file name,
-columns, rows, metadata)`` as ``emit.write_csv`` takes it, and sections are
-top-level ``summary.json`` entries.  ``run_scenario`` resolves the cloud,
-the lateral potential and the regime report once, runs the stage, appends
-the density table every run carries, and only then writes every table and
-the summary, so a stage that raises leaves no file behind.
+{column header: 1-D column}, metadata)``, arrays as they are and records
+through ``emit.table``, and sections are top-level ``summary.json`` entries.
+``run_scenario`` resolves the cloud, the lateral potential and the regime
+report once, runs the stage, appends the density table every run carries,
+and only then writes every table and the summary, so a stage that raises
+leaves no file behind.
 """
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +26,8 @@ from .condensate import (
     tf_axial_density,
 )
 from .config import RunConfig
-from .constants import HBAR, energy_to_frequency
-from .emit import write_csv, write_json
+from .constants import HBAR, TWO_PI, energy_to_frequency
+from .emit import table, write_csv, write_json
 from .errors import ConfigurationError
 from .spectrum import band_branches, perturbative_gaps
 from .surface import lateral_coefficients, lateral_eval, load_tabulated_response
@@ -66,31 +66,31 @@ def _potential_stage(config: RunConfig, params, pot):
     u_x = lateral_eval(pot, x)
     return [
         ("potential_coefficients.csv",
-         ["fundamental", "k_c_radpm", "harmonic", "k_radpm", "U_J", "U_over_2pihbar_Hz"],
-         [[t.fundamental, t.k_c, t.harmonic, t.k, t.u, energy_to_frequency(t.u)]
-          for t in pot.terms],
+         table(["fundamental", "k_c_radpm", "harmonic", "k_radpm", "U_J", "U_over_2pihbar_Hz"],
+               [[t.fundamental, t.k_c, t.harmonic, t.k, t.u, energy_to_frequency(t.u)]
+                for t in pot.terms]),
          {"z_cm_m": config.surface.z_cm, "material": config.surface.material}),
-        ("potential_profile.csv", ["x_m", "x_um", "U_J", "U_over_2pihbar_Hz"],
-         [[xi, xi * 1e6, ui, energy_to_frequency(ui)] for xi, ui in zip(x, u_x)], {}),
+        ("potential_profile.csv", {"x_m": x, "x_um": x * 1e6, "U_J": u_x,
+                                   "U_over_2pihbar_Hz": energy_to_frequency(u_x)}, {}),
     ], {}
 
 
 def _spectrum_stage(config: RunConfig, params, pot):
     gaps, gap_rows, sections = _gaps(params, pot)
-    rows = []
-    for entry in gaps.entries:
-        slice_ = band_branches(params, pot, harmonic=entry.harmonic,
-                               fundamental=entry.fundamental,
-                               detunings=np.linspace(-entry.k_c / 4.0, entry.k_c / 4.0,
-                                                     config.numerics.branch_points))
-        for eps, em, ep in zip(slice_.detunings, slice_.e_minus, slice_.e_plus):
-            rows.append([entry.fundamental, entry.harmonic, entry.q_n + eps,
-                         em, ep, energy_to_frequency(em), energy_to_frequency(ep)])
+    n, entries = config.numerics.branch_points, gaps.entries
+    # One slice per gap, stacked: n rows each, in gap order.
+    slices = [band_branches(params, pot, harmonic=e.harmonic, fundamental=e.fundamental,
+                            detunings=np.linspace(-e.k_c / 4.0, e.k_c / 4.0, n))
+              for e in entries]
+    e_minus, e_plus = np.ravel([s.e_minus for s in slices]), np.ravel([s.e_plus for s in slices])
     return [
-        ("gap_table.csv", _GAP_COLUMNS, gap_rows, {}),
-        ("band_branches.csv",
-         ["fundamental", "harmonic", "q_radpm", "E_minus_J", "E_plus_J",
-          "E_minus_Hz", "E_plus_Hz"], rows, {}),
+        ("gap_table.csv", table(_GAP_COLUMNS, gap_rows), {}),
+        ("band_branches.csv", {
+            "fundamental": np.repeat([e.fundamental for e in entries], n),
+            "harmonic": np.repeat([e.harmonic for e in entries], n),
+            "q_radpm": np.ravel([e.q_n + s.detunings for e, s in zip(entries, slices)]),
+            "E_minus_J": e_minus, "E_plus_J": e_plus, "E_minus_Hz": energy_to_frequency(e_minus),
+            "E_plus_Hz": energy_to_frequency(e_plus)}, {}),
     ], sections
 
 
@@ -113,23 +113,25 @@ def _bdg_stage(config: RunConfig, params, pot):
     }
     sections["bdg"] = {"cutoff_M": bands.cutoff, "converged": bands.converged,
                        "drift_vs_coarser": bands.drift_vs_coarser}
+    n_q, n_bands = bands.bands.shape
     return [
-        ("bdg_bands.csv", ["q_bloch_radpm", "band", "E_J", "E_over_2pihbar_Hz"],
-         [[q_b, j, bands.bands[i, j], energy_to_frequency(bands.bands[i, j])]
-          for i, q_b in enumerate(bands.q_grid) for j in range(bands.bands.shape[1])],
+        ("bdg_bands.csv",
+         {"q_bloch_radpm": np.repeat(bands.q_grid, n_bands),
+          "band": np.tile(np.arange(n_bands), n_q), "E_J": bands.bands.ravel(),
+          "E_over_2pihbar_Hz": energy_to_frequency(bands.bands.ravel())},
          {"cutoff_M": bands.cutoff, "k_base_radpm": bands.k_base,
           "drift_vs_coarser": bands.drift_vs_coarser, "converged": bands.converged}),
         ("bdg_gaps.csv",
-         ["fundamental", "harmonic", "q_n_radpm", "E_lower_J", "E_upper_J",
-          "gap_J", "gap_over_2pihbar_Hz"],
-         [[g.fundamental, g.harmonic, g.q_n, g.e_lower, g.e_upper, g.gap,
-           energy_to_frequency(g.gap)] for g in bands.zone_edge_gaps], {}),
+         table(["fundamental", "harmonic", "q_n_radpm", "E_lower_J", "E_upper_J",
+                "gap_J", "gap_over_2pihbar_Hz"],
+               [[g.fundamental, g.harmonic, g.q_n, g.e_lower, g.e_upper, g.gap,
+                 energy_to_frequency(g.gap)] for g in bands.zone_edge_gaps]), {}),
         ("oracle_compare.csv",
-         ["fundamental", "harmonic", "q_n_radpm", "gap_perturbative_J",
-          "gap_numeric_J", "rel_deviation", "tolerance", "status"],
-         [[r.fundamental, r.harmonic, r.q_n, r.gap_perturbative, r.gap_numeric,
-           r.rel_deviation, r.tolerance, "pass" if r.passed else "FAIL"]
-          for r in comparison.rows], {}),
+         table(["fundamental", "harmonic", "q_n_radpm", "gap_perturbative_J",
+                "gap_numeric_J", "rel_deviation", "tolerance", "status"],
+               [[r.fundamental, r.harmonic, r.q_n, r.gap_perturbative, r.gap_numeric,
+                 r.rel_deviation, r.tolerance, "pass" if r.passed else "FAIL"]
+                for r in comparison.rows]), {}),
     ], sections
 
 
@@ -137,24 +139,21 @@ def _dsf_stage(config: RunConfig, params, pot):
     q, u_matched, spectrum = _probe_dsf(config, params, pot)
     flags = np.zeros(len(spectrum.omega), dtype=int)
     flags[list(spectrum.resonance_bins)] = 1
-    energies = spectrum.resonance_energies
+    energies, weights = list(spectrum.resonance_energies), list(spectrum.branch_weights)
     return [
         ("dsf.csv",
-         ["omega_radps", "omega_over_2pi_Hz", "S_minus_arb", "S_plus_arb", "resonance_flag"],
-         [[w, w / (2.0 * math.pi), sm, sp, int(fl)]
-          for w, sm, sp, fl in zip(spectrum.omega, spectrum.s_minus, spectrum.s_plus, flags)],
-         {"q_radpm": q,
-          "kind": spectrum.kind,
-          "branches": len(spectrum.supports),
-          "marker_energies_J": ";".join(f"{e:.9e}" for e in energies),
-          "branch_weights": ";".join(f"{w:.9e}" for w in spectrum.branch_weights)}),
+         {"omega_radps": spectrum.omega, "omega_over_2pi_Hz": spectrum.omega / TWO_PI,
+          "S_minus_arb": spectrum.s_minus, "S_plus_arb": spectrum.s_plus,
+          "resonance_flag": flags},
+         {"q_radpm": q, "kind": spectrum.kind, "branches": len(spectrum.supports),
+          "marker_energies_J": energies, "branch_weights": weights}),
     ], {"dsf": {
         "q_radpm": q,
         "matched_U_J": u_matched,
         "single_branch": len(spectrum.supports) == 1,
-        "marker_energies_J": list(energies),
+        "marker_energies_J": energies,
         "marker_separation_J": energies[-1] - energies[0] if len(energies) > 1 else 0.0,
-        "branch_weights": list(spectrum.branch_weights),
+        "branch_weights": weights,
     }}
 
 
@@ -168,9 +167,8 @@ def _bragg_stage(config: RunConfig, params, pot):
     probe = {"q_radpm": q, "omega_radps": omega, "tau_s": tau}
     return [
         ("bragg_signal.csv",
-         ["t_s", "dPdt_total", "dPdt_drive", "dPdt_trap", "dPdt_sine", "P_X"],
-         [list(row) for row in zip(signal.times, signal.dpdt, signal.dpdt_drive,
-                                   signal.dpdt_trap, signal.dpdt_sine, signal.p_x)],
+         {"t_s": signal.times, "dPdt_total": signal.dpdt, "dPdt_drive": signal.dpdt_drive,
+          "dPdt_trap": signal.dpdt_trap, "dPdt_sine": signal.dpdt_sine, "P_X": signal.p_x},
          {**probe, "v_b": config.bragg.v_b}),
     ], {"bragg": {**probe, "peak_dPdt": float(np.max(np.abs(signal.dpdt)))}}
 
@@ -246,13 +244,12 @@ def run_scenario(config: RunConfig, command: str, out_dir) -> dict:
     tables, sections = STAGES[command][1](config, params, pot)
     summary.update(sections)
     x, n1 = tf_axial_density(params, pot=None, n_points=config.numerics.density_points)
-    tables.append(("density_profile.csv", ["x_m", "x_um", "n1_per_m"],
-                   [[xi, xi * 1e6, ni] for xi, ni in zip(x, n1)], {}))
+    tables.append(("density_profile.csv", {"x_m": x, "x_um": x * 1e6, "n1_per_m": n1}, {}))
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for name, columns, rows, metadata in tables:
-        write_csv(out / name, columns, rows, metadata)
+    for name, columns, metadata in tables:
+        write_csv(out / name, columns, metadata)
     summary["files"] = sorted([name for name, *_ in tables] + ["summary.json"])
     write_json(out / "summary.json", summary)
     return summary

@@ -105,13 +105,13 @@ class BranchSlice:
     gap: float             # J, splitting at zero detuning
 
 
-def two_state_coupling(q1: float, q2: float, u_n: float, mu_tilde: float,
-                       species: AtomSpecies) -> float:
+def two_state_coupling(q1, q2, u_n: float, mu_tilde: float, species: AtomSpecies):
     """Off-diagonal element between Bogoliubov states q1 and q2 coupled by a
-    potential coefficient u_n: -(u_n/2) * sqrt(F(|q1|) F(|q2|))."""
+    potential coefficient u_n: -(u_n/2) * sqrt(F(|q1|) F(|q2|)).  q1 and q2
+    may be arrays."""
     f1 = suppression_factor(abs(q1), mu_tilde, species)
     f2 = suppression_factor(abs(q2), mu_tilde, species)
-    return -(u_n / 2.0) * math.sqrt(f1 * f2)
+    return -(u_n / 2.0) * np.sqrt(f1 * f2)
 
 
 def band_branches(
@@ -138,19 +138,14 @@ def band_branches(
         raise PhysicsDomainError("detuning outside |eps| <= k_c/4")
 
     mu, sp = params.mu_tilde, params.species
-    e_minus = np.empty_like(eps)
-    e_plus = np.empty_like(eps)
-    for i, e in enumerate(eps):
-        q1, q2 = q_n + e, -q_n + e
-        d1 = bogoliubov_dispersion(abs(q1), mu, sp)
-        d2 = bogoliubov_dispersion(abs(q2), mu, sp)
-        c = two_state_coupling(q1, q2, u_n, mu, sp)
-        mean, half = 0.5 * (d1 + d2), 0.5 * (d1 - d2)
-        split = math.hypot(half, c)
-        e_minus[i], e_plus[i] = mean - split, mean + split
+    q1, q2 = q_n + eps, -q_n + eps
+    d1 = bogoliubov_dispersion(np.abs(q1), mu, sp)
+    d2 = bogoliubov_dispersion(np.abs(q2), mu, sp)
+    c = two_state_coupling(q1, q2, u_n, mu, sp)
+    mean, split = 0.5 * (d1 + d2), np.hypot(0.5 * (d1 - d2), c)
     gap = abs(u_n) * suppression_factor(q_n, mu, sp)
     return BranchSlice(harmonic=harmonic, q_n=q_n, detunings=eps,
-                       e_minus=e_minus, e_plus=e_plus, gap=gap)
+                       e_minus=mean - split, e_plus=mean + split, gap=gap)
 
 
 def gap_high_density(mu: float, omega_r: float, k_c: float, u_n: float,

@@ -22,7 +22,7 @@ import numpy as np
 
 from casimir_bec import RB87, response_perfect
 from casimir_bec.cli import main
-from casimir_bec.emit import read_csv, write_csv
+from casimir_bec.emit import read_csv, table, write_csv
 from casimir_bec.pipeline import STAGES
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -79,7 +79,7 @@ def write_response_table(path: Path) -> None:
     rows = [[k, z, response_perfect(k, z, RB87)]
             for k in np.linspace(0.2 * k_c, 3.0 * k_c, 13)
             for z in np.linspace(1e-6, 5e-6, 13)]
-    write_csv(path, ["k_radpm", "z_m", "g_Jpm"], rows)
+    write_csv(path, table(["k_radpm", "z_m", "g_Jpm"], rows))
 
 
 def _metadata_value(text: str):

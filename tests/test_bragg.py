@@ -1,6 +1,7 @@
 """DSF representations and the momentum-transfer observable."""
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -330,6 +331,21 @@ def test_signal_clipped_support_rejected(params, q_1, u_1):
     with pytest.raises(ContractError, match="clipped"):
         bragg_signal(BraggPulse(q=q_1, omega=e_b / HBAR, v_b=1.0, tau=0.2),
                      clipped, params, n_time=32)
+
+
+@pytest.mark.parametrize("closure", [False, True])
+def test_under_resolved_warning_names_the_caller(params, q_1, dsf_ref, closure):
+    # A pulse longer than 1/step of the omega grid is under-resolved; the
+    # warning is issued once per spectrum and points at this file.
+    tau = 2.0 / float(np.max(np.diff(dsf_ref.omega)))
+    e_b = bogoliubov_dispersion(q_1, params.mu_tilde, RB87)
+    pulse = BraggPulse(q=q_1, omega=e_b / HBAR, v_b=1.0, tau=tau)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        bragg_signal(pulse, dsf_ref, params, closure=closure, n_time=64)
+    assert [str(w.message) for w in caught] == [str(caught[0].message)]
+    assert "under-resolved" in str(caught[0].message)
+    assert caught[0].filename == __file__
 
 
 def test_signal_anti_stokes_hook(params, q_1, dsf_ref):

@@ -288,14 +288,16 @@ def test_tabulated_response_config(config_path, tmp_path):
     import numpy as np
 
     from casimir_bec import RB87, response_perfect
+    from casimir_bec.emit import table as emit_table
     from casimir_bec.emit import write_csv
 
     table = tmp_path / "resp.csv"
     k_c = 2.0 * 3.141592653589793 / 9.75e-6
     k_axis = np.linspace(0.2 * k_c, 3.0 * k_c, 13)
     z_axis = np.linspace(1e-6, 5e-6, 13)
-    write_csv(table, ["k_radpm", "z_m", "g_Jpm"],
-              [[k, z, response_perfect(k, z, RB87)] for k in k_axis for z in z_axis])
+    write_csv(table, emit_table(["k_radpm", "z_m", "g_Jpm"],
+                                [[k, z, response_perfect(k, z, RB87)]
+                                 for k in k_axis for z in z_axis]))
     cfg = Path(config_path).read_text().replace(
         "lambda_c = 9.75 um", f"lambda_c = 9.75 um\nresponse_file = {table}")
     cfg_path = tmp_path / "tab.cfg"

@@ -24,7 +24,6 @@ from casimir_bec import (
     frequency_to_energy,
     species_lookup,
 )
-from casimir_bec.constants import metres_to_microns, microns_to_metres
 
 
 def test_constants_match_reference_values():
@@ -56,11 +55,6 @@ def test_energy_frequency_definition():
 @given(st.floats(min_value=1e-40, max_value=1e-20))
 def test_energy_frequency_round_trip(e):
     assert frequency_to_energy(energy_to_frequency(e)) == pytest.approx(e, rel=1e-12, abs=0)
-
-
-@given(st.floats(min_value=1e-9, max_value=1.0))
-def test_length_round_trip(x):
-    assert microns_to_metres(metres_to_microns(x)) == pytest.approx(x, rel=1e-12, abs=0)
 
 
 def test_rb87_registry_values():

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casimir_bec import (
@@ -125,6 +125,47 @@ def test_branches_ordering_and_linearity(params, pot):
             k_c=k_c, coefficients=(s * u,)),))
         assert perturbative_gaps(params, scaled).entry().gap == pytest.approx(
             s * gap_1, rel=1e-12, abs=0)
+
+
+def _scalar_band_branches(params, pot, harmonic, detunings, fundamental):
+    """The per-detuning loop band_branches replaced: scalar calls throughout."""
+    comp = pot.components[fundamental]
+    u_n, q_n = comp.coefficients[harmonic - 1], harmonic * comp.k_c / 2.0
+    mu, sp = params.mu_tilde, params.species
+    e_minus, e_plus = [], []
+    for e in detunings:
+        q1, q2 = q_n + e, -q_n + e
+        d1 = bogoliubov_dispersion(abs(q1), mu, sp)
+        d2 = bogoliubov_dispersion(abs(q2), mu, sp)
+        c = -(u_n / 2.0) * math.sqrt(suppression_factor(abs(q1), mu, sp)
+                                     * suppression_factor(abs(q2), mu, sp))
+        mean, half = 0.5 * (d1 + d2), 0.5 * (d1 - d2)
+        split = math.hypot(half, c)
+        e_minus.append(mean - split)
+        e_plus.append(mean + split)
+    return np.array(e_minus), np.array(e_plus)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(k_over_kmu=st.lists(st.floats(0.05, 20.0), min_size=2, max_size=2),
+       u_over_mu=st.lists(st.lists(st.one_of(st.just(0.0), st.floats(-0.5, 0.5)),
+                                   min_size=3, max_size=3), min_size=2, max_size=2),
+       harmonic=st.integers(1, 3), fundamental=st.integers(0, 1),
+       fractions=st.lists(st.floats(-1.0, 1.0), max_size=40))
+def test_vectorized_branches_match_scalar_loop(params, k_over_kmu, u_over_mu, harmonic,
+                                               fundamental, fractions):
+    # Two fundamentals of three harmonics each; the detunings include the
+    # zone edge and both ends of the |eps| <= k_c/4 window.
+    pot = LateralPotential(components=tuple(
+        PotentialComponent(k_c=r * params.k_mu, coefficients=tuple(u * params.mu_tilde for u in us))
+        for r, us in zip(k_over_kmu, u_over_mu)))
+    quarter = pot.components[fundamental].k_c / 4.0
+    detunings = np.array([0.0, -quarter, quarter] + [f * quarter for f in fractions])
+    slice_ = band_branches(params, pot, harmonic=harmonic, detunings=detunings,
+                           fundamental=fundamental)
+    e_minus, e_plus = _scalar_band_branches(params, pot, harmonic, detunings, fundamental)
+    np.testing.assert_allclose(slice_.e_minus, e_minus, rtol=5e-16, atol=0)
+    np.testing.assert_allclose(slice_.e_plus, e_plus, rtol=5e-16, atol=0)
 
 
 def test_branches_detuning_domain(params, pot):

@@ -24,7 +24,7 @@ from casimir_bec import (
     response_perfect,
 )
 from casimir_bec.benchmarks import benchmark_surface
-from casimir_bec.emit import read_csv, write_csv
+from casimir_bec.emit import read_csv, table, write_csv
 
 K_C = 2.0 * math.pi / 9.75e-6
 Z_CM = 3e-6
@@ -169,7 +169,7 @@ def test_surface_validation():
 
 def _write_grid(path, k_axis, z_axis, fn):
     rows = [[k, z, fn(k, z)] for k in k_axis for z in z_axis]
-    write_csv(path, ["k_radpm", "z_m", "g_Jpm"], rows)
+    write_csv(path, table(["k_radpm", "z_m", "g_Jpm"], rows))
 
 
 def test_tabulated_matches_nodes(tmp_path):
@@ -266,7 +266,7 @@ def test_tabulated_refusal_names_the_file_line(tmp_path):
     # write_csv puts '#' metadata lines above the header; a refusal counts
     # them, so it names the line an editor shows.
     path = tmp_path / "c.csv"
-    write_csv(path, ["k_radpm", "z_m", "g_Jpm"], [[1.0, 1.0, 1.0], [1.0, 2.0, 1.0]],
+    write_csv(path, {"k_radpm": [1.0, 1.0], "z_m": [1.0, 2.0], "g_Jpm": [1.0, 1.0]},
               {"source": "test", "units": "SI"})
     lines = path.read_text().splitlines()
     assert lines[:3] == ["# source = test", "# units = SI", "k_radpm,z_m,g_Jpm"]
