@@ -204,7 +204,9 @@ class BdgBands:
     k_base: float
     cutoff: int
     mu_tilde: float
-    drift_vs_coarser: float        # max relative gap change from cutoff-2
+    # Max relative gap change from cutoff max(4, M - 2); None when that
+    # cutoff is not below M or its basis misses a zone-edge state.
+    drift_vs_coarser: float | None
     converged: bool | None         # doubling the cutoff moves gaps < 0.1%; None: no gaps
 
 
@@ -248,11 +250,14 @@ def solve_bdg_bands(
                 worst = max(worst, abs(b.gap - a.gap) / a.gap)
         return worst
 
-    drift = 0.0
+    drift, coarse = None, max(4, cutoff - 2)
+    if coarse < cutoff:
+        try:
+            drift = max_rel_change(_all_zone_edge_gaps(mu_tilde, species, pot, coarse))
+        except UnsupportedConfigurationError:
+            pass  # the coarser basis misses a zone-edge state that M holds
     converged = None
     if gaps:
-        coarser = _all_zone_edge_gaps(mu_tilde, species, pot, max(4, cutoff - 2))
-        drift = max_rel_change(coarser)
         doubled = _all_zone_edge_gaps(mu_tilde, species, pot, 2 * cutoff)
         converged = max_rel_change(doubled) < 1e-3
     return BdgBands(q_grid=q_grid, bands=bands, zone_edge_gaps=gaps, k_base=k_base,

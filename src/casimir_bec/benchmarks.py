@@ -307,15 +307,15 @@ def validate_reference() -> ValidationTable:
     tau = 100.0 * HBAR / e_b1
     dsf_ref = dsf_lda(q_1, default_lda_grid(params, q_1, abs(u_1), 2001), params, u_1)
     silent = bragg_signal(BraggPulse(q=q_1, omega=e_b1 / HBAR, v_b=0.0, tau=tau),
-                          dsf_ref, params, n_time=128)
+                          dsf_ref, n_time=128)
     rows.append(_below("bragg_vb0_max_abs",
                        float(np.max(np.abs(silent.dpdt)) + np.max(np.abs(silent.p_x))), 0.0))
 
     span = (dsf_ref.supports[1][1] - dsf_ref.supports[0][0]) / HBAR
     on_peak = bragg_signal(BraggPulse(q=q_1, omega=e_b1 / HBAR, v_b=1.0, tau=tau),
-                           dsf_ref, params, n_time=256)
+                           dsf_ref, n_time=256)
     off_peak = bragg_signal(BraggPulse(q=q_1, omega=e_b1 / HBAR + 10.0 * span, v_b=1.0, tau=tau),
-                            dsf_ref, params, n_time=256)
+                            dsf_ref, n_time=256)
     ratio = float(np.max(np.abs(off_peak.dpdt)) / np.max(np.abs(on_peak.dpdt)))
     rows.append(_below("bragg_offresonant_ratio", ratio, 0.01))
 

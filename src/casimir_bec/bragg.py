@@ -34,8 +34,11 @@ detuning w and Heaviside envelope:
               + (hbar q V_B^2 / 2) integral dw' [S(q,w') - S(-q,-w')]
                                    sin((w - w') t) / (w - w').
 
-At zero temperature S(-q,-w') vanishes for w' > 0; a finite-temperature
-spectrum can be supplied through dsf_neg.  Averaged over the pulse, the
+This module evaluates it for a cloud at equilibrium and zero temperature,
+the regime in which the pulse reads S(q, w) off the signal.  The cloud
+rests at X = 0, so the trap term is zero; the TF density is even in x, so
+every <sin(n k_c x)> is zero by parity; and S(-q,-w') vanishes for w' > 0.
+Only the drive term is left (bragg_signal).  Averaged over the pulse, the
 drive kernel integrates exactly,
 
     (1/tau) integral_0^tau sin(D t)/D dt = (tau/2) sinc^2(D tau / 2 pi),
@@ -60,7 +63,6 @@ from .condensate import (
 )
 from .errors import ContractError, PhysicsDomainError
 from .spectrum import suppression_factor
-from .surface import LateralPotential
 
 
 @dataclass(frozen=True)
@@ -94,7 +96,6 @@ class DsfSpectrum:
     omega: np.ndarray            # rad/s
     s_minus: np.ndarray          # arbitrary units (1/J)
     s_plus: np.ndarray
-    resonance_energies: tuple[float, ...]  # J, x = 0 energies per branch
     resonance_bins: tuple[int, ...]
     supports: tuple[tuple[float, float], ...]  # J, (lower, upper) per branch
     branch_weights: tuple[float, ...]
@@ -103,6 +104,12 @@ class DsfSpectrum:
     @property
     def total(self) -> np.ndarray:
         return self.s_minus + self.s_plus
+
+    @property
+    def resonance_energies(self) -> tuple[float, ...]:
+        """J, the x = 0 (divergence marker) energy of each branch: the
+        upper end of its support."""
+        return tuple(hi for _, hi in self.supports)
 
 
 def _trapezoid_node_weights(grid: np.ndarray) -> np.ndarray:
@@ -133,8 +140,8 @@ def dsf_homogeneous(q: float, omega_grid, params: Quasi1DParams) -> DsfSpectrum:
     s[i_res] = weight / (HBAR * _trapezoid_node_weights(omega)[i_res])
     return DsfSpectrum(
         q=q, omega=omega, s_minus=s, s_plus=np.zeros_like(omega),
-        resonance_energies=(e_b,), resonance_bins=(i_res,),
-        supports=((e_b, e_b),), branch_weights=(weight,), kind="homogeneous",
+        resonance_bins=(i_res,), supports=((e_b, e_b),), branch_weights=(weight,),
+        kind="homogeneous",
     )
 
 
@@ -244,14 +251,12 @@ def dsf_lda(q: float, omega_grid, params: Quasi1DParams, u_n: float) -> DsfSpect
         s, i_res, support, w = _sample_branch(q, params, 0.0, -1, omega)
         return DsfSpectrum(
             q=q, omega=omega, s_minus=s, s_plus=np.zeros_like(omega),
-            resonance_energies=(support[1],), resonance_bins=(i_res,),
-            supports=(support,), branch_weights=(w,), kind="lda",
+            resonance_bins=(i_res,), supports=(support,), branch_weights=(w,), kind="lda",
         )
     s_minus, i_minus, sup_minus, w_minus = _sample_branch(q, params, u_abs, -1, omega)
     s_plus, i_plus, sup_plus, w_plus = _sample_branch(q, params, u_abs, +1, omega)
     return DsfSpectrum(
         q=q, omega=omega, s_minus=s_minus, s_plus=s_plus,
-        resonance_energies=(sup_minus[1], sup_plus[1]),
         resonance_bins=(i_minus, i_plus),
         supports=(sup_minus, sup_plus),
         branch_weights=(w_minus, w_plus), kind="lda",
@@ -277,16 +282,11 @@ def default_lda_grid(params, q: float, u_abs: float, n_points: int = 2001,
 
 @dataclass(frozen=True)
 class BraggSignal:
-    """Momentum-transfer time series over one pulse, with the term split."""
+    """Momentum-transfer time series over one pulse."""
 
-    times: np.ndarray       # s
-    dpdt: np.ndarray        # kg m/s^2 (arbitrary through V_B^2)
-    dpdt_drive: np.ndarray
-    dpdt_trap: np.ndarray
-    dpdt_sine: np.ndarray
-    p_x: np.ndarray         # kg m/s
-    x: np.ndarray | None    # m, only with the closure enabled
-    pulse: BraggPulse
+    times: np.ndarray  # s, uniform over [0, tau]
+    dpdt: np.ndarray   # kg m/s^2 (arbitrary through V_B^2), the drive term
+    p_x: np.ndarray    # kg m/s
 
 
 def _check_support(dsf: DsfSpectrum, tau: float) -> None:
@@ -308,26 +308,6 @@ def _check_support(dsf: DsfSpectrum, tau: float) -> None:
         )
 
 
-def _drive_at(times, pulse: BraggPulse, dsf_pos: DsfSpectrum,
-              dsf_neg: DsfSpectrum | None) -> np.ndarray:
-    """(hbar q V^2/2) * integral dw' [S(q,w') - S(-q,-w')] sin((w-w')t)/(w-w')."""
-    t = np.asarray(times, dtype=float)[:, None]
-    prefactor = HBAR * pulse.q * pulse.v_b**2 / 2.0
-
-    def kernel(delta):
-        # sin(delta*t)/delta, exact at delta = 0
-        return t * np.sinc(delta[None, :] * t / math.pi)
-
-    node_w = _trapezoid_node_weights(dsf_pos.omega)
-    drive = prefactor * (kernel(pulse.omega - dsf_pos.omega) @ (dsf_pos.total * node_w))
-    if dsf_neg is not None:
-        node_w_neg = _trapezoid_node_weights(dsf_neg.omega)
-        drive = drive - prefactor * (
-            kernel(pulse.omega + dsf_neg.omega) @ (dsf_neg.total * node_w_neg)
-        )
-    return drive
-
-
 def pulse_averaged_drive(omegas, q: float, tau: float, dsf_pos: DsfSpectrum) -> np.ndarray:
     """Drive term of dP_X/dt at V_B = 1 (it scales as V_B^2) averaged over
     a pulse [0, tau], one value per detuning in `omegas` (rad/s), at zero
@@ -345,92 +325,29 @@ def pulse_averaged_drive(omegas, q: float, tau: float, dsf_pos: DsfSpectrum) -> 
     return (HBAR * q / 2.0) * (kernel @ weights)
 
 
-def _sine_term(pot: LateralPotential | None, params: Quasi1DParams,
-               displacement: float) -> float:
-    """sum_n U_n (n k_c) <sin(n k_c x)> over the TF cloud displaced by
-    `displacement`; exactly zero at equilibrium by parity."""
-    if pot is None or displacement == 0.0:
-        return 0.0
-    half = params.half_length
-    x = np.linspace(-half + displacement, half + displacement, 2**13)
-    n1 = params.peak_density * np.maximum(0.0, 1.0 - ((x - displacement) / half) ** 2)
-    total = 0.0
-    for term in pot.terms:
-        if term.u != 0.0:
-            total += term.u * term.k * float(np.trapezoid(n1 * np.sin(term.k * x), x))
-    return total
+def bragg_signal(pulse: BraggPulse, dsf_pos: DsfSpectrum, n_time: int = 512) -> BraggSignal:
+    """dP_X/dt and P_X at n_time uniform times over the pulse.
 
+    At equilibrium and zero temperature dP_X/dt is the drive term alone
+    (module docstring): the trap term is zero at X = 0, the Casimir sine
+    term vanishes by parity, and S(-q,-w') is zero for w' > 0.  So
 
-def bragg_signal(
-    pulse: BraggPulse,
-    dsf_pos: DsfSpectrum,
-    params: Quasi1DParams,
-    dsf_neg: DsfSpectrum | None = None,
-    pot: LateralPotential | None = None,
-    displacement: float = 0.0,
-    closure: bool = False,
-    n_time: int = 512,
-) -> BraggSignal:
-    """Integrate dP_X/dt over the pulse.
+        dP_X/dt = (hbar q V_B^2 / 2) integral dw' S(q,w') sin((w - w')t)/(w - w'),
 
-    dsf_neg is the finite-temperature hook for S(-q,-w'); at zero
-    temperature (default) that term is identically zero for w' > 0.  The
-    trap term needs X(t), which the bare equation does not provide; with
-    closure=True the center of mass follows dX/dt = P_X/(N m), otherwise
-    X stays at 0 and the trap term vanishes.  The Casimir sine term is
-    evaluated over the (optionally displaced) TF density and vanishes at
-    equilibrium by parity.
+    one (times x grid) matrix-vector product, and P_X is its cumulative
+    trapezoid from P_X(0) = 0.
     """
-    if dsf_pos is None:
-        raise ContractError("bragg_signal needs the +q spectrum")
     times = np.linspace(0.0, pulse.tau, n_time)
-    drive = np.zeros_like(times)
+    dpdt = np.zeros_like(times)
     if pulse.v_b != 0.0:
-        for dsf in [d for d in (dsf_pos, dsf_neg) if d is not None]:
-            _check_support(dsf, pulse.tau)  # here, so a warning names our caller
-        drive = _drive_at(times, pulse, dsf_pos, dsf_neg)
-    sine = _sine_term(pot, params, displacement)
-    sine_arr = np.full_like(times, sine)
-
-    m_total = params.trap.atom_number * params.species.mass
-    omega_x = params.trap.omega_x
-    if closure:
-        dt = times[1] - times[0]
-        drive_mid = (
-            _drive_at(times + dt / 2.0, pulse, dsf_pos, dsf_neg)
-            if pulse.v_b != 0.0 else np.zeros_like(times)
-        )
-        x_of_t = np.zeros_like(times)
-        p_of_t = np.zeros_like(times)
-        x_now, p_now = 0.0, 0.0
-
-        # x is the center-of-mass displacement: dX/dt = P/(N m) and the
-        # trap pulls with -N m wx^2 X, so free sloshing runs at omega_x.
-        def rhs(state, d):
-            x_s, p_s = state
-            return np.array([p_s / m_total, -m_total * omega_x**2 * x_s + sine + d])
-
-        for i in range(len(times) - 1):
-            d0, dm, d1 = drive[i], drive_mid[i], drive[i + 1]
-            state = np.array([x_now, p_now])
-            k1 = rhs(state, d0)
-            k2 = rhs(state + 0.5 * dt * k1, dm)
-            k3 = rhs(state + 0.5 * dt * k2, dm)
-            k4 = rhs(state + dt * k3, d1)
-            state = state + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-            x_now, p_now = state
-            x_of_t[i + 1] = x_now
-            p_of_t[i + 1] = p_now
-        trap_arr = -m_total * omega_x**2 * x_of_t
-        dpdt = trap_arr + sine_arr + drive
-        return BraggSignal(times=times, dpdt=dpdt, dpdt_drive=drive, dpdt_trap=trap_arr,
-                           dpdt_sine=sine_arr, p_x=p_of_t, x=x_of_t, pulse=pulse)
-
-    trap_arr = np.zeros_like(times)
-    dpdt = trap_arr + sine_arr + drive
+        _check_support(dsf_pos, pulse.tau)  # here, so a warning names our caller
+        t = times[:, None]
+        # sin(D t)/D with D = w - w', exact at D = 0
+        kernel = t * np.sinc((pulse.omega - dsf_pos.omega)[None, :] * t / math.pi)
+        weights = dsf_pos.total * _trapezoid_node_weights(dsf_pos.omega)
+        dpdt = (HBAR * pulse.q * pulse.v_b**2 / 2.0) * (kernel @ weights)
     p_x = np.concatenate(([0.0], np.cumsum(0.5 * (dpdt[1:] + dpdt[:-1]) * np.diff(times))))
-    return BraggSignal(times=times, dpdt=dpdt, dpdt_drive=drive, dpdt_trap=trap_arr,
-                       dpdt_sine=sine_arr, p_x=p_x, x=None, pulse=pulse)
+    return BraggSignal(times=times, dpdt=dpdt, p_x=p_x)
 
 
 def invert_gap(measured_gap: float, q_n: float, params: Quasi1DParams) -> float:

@@ -18,7 +18,10 @@ _FORMATS = {"f": "%.9e", "i": "%d", "u": "%d"}
 
 
 def format_value(value) -> str:
-    """One metadata value; a list or tuple is joined with ';'."""
+    """One metadata value, spelled as in summary.json (true, false, null); a
+    list or tuple is joined with ';'."""
+    if value is None:
+        return "null"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):

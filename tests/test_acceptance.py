@@ -190,14 +190,14 @@ def test_criterion_11_bragg_signal(bench):
 
     dsf = dsf_lda(q_1, default_lda_grid(params, q_1, abs(u_1), 2001), params, u_1)
     silent = bragg_signal(BraggPulse(q=q_1, omega=e_b / HBAR, v_b=0.0, tau=tau),
-                          dsf, params, n_time=128)
+                          dsf, n_time=128)
     zero_ok = float(np.max(np.abs(silent.dpdt)) + np.max(np.abs(silent.p_x))) == 0.0
 
     span = (dsf.supports[-1][1] - dsf.supports[0][0]) / HBAR
     on = bragg_signal(BraggPulse(q=q_1, omega=e_b / HBAR, v_b=1.0, tau=tau),
-                      dsf, params, n_time=256)
+                      dsf, n_time=256)
     off = bragg_signal(BraggPulse(q=q_1, omega=e_b / HBAR + 10.0 * span, v_b=1.0, tau=tau),
-                       dsf, params, n_time=256)
+                       dsf, n_time=256)
     off_ratio = float(np.max(np.abs(off.dpdt)) / np.max(np.abs(on.dpdt)))
 
     ok = shape_dev <= 0.05 and zero_ok and off_ratio < 0.01

@@ -166,6 +166,18 @@ def test_solve_bdg_bands_metadata(params, pot):
     assert np.all(np.diff(bands.bands, axis=1) >= -1e-12 * params.mu_tilde)
 
 
+def test_drift_is_null_without_a_coarser_basis(params, pot):
+    # The probe cutoff max(4, M - 2) must lie below M and hold every
+    # zone-edge pair; M = 4 would compare with itself.
+    assert solve_bdg_bands(params.mu_tilde, RB87, pot, cutoff=4).drift_vs_coarser is None
+    assert solve_bdg_bands(params.mu_tilde, RB87, pot, cutoff=5).drift_vs_coarser > 0.0
+    # 63/62 fundamentals: M = 30 misses a zone-edge state that M = 32 holds.
+    mix_params, mix_pot = mixing_scenario()
+    bands = solve_bdg_bands(mix_params.mu_tilde, mix_params.species, mix_pot,
+                            q_grid=[0.0], cutoff=32)
+    assert bands.drift_vs_coarser is None
+
+
 def test_goldstone_zero_appears_once(params, pot):
     bands = solve_bdg_bands(params.mu_tilde, RB87, pot)
     centre = int(np.flatnonzero(bands.q_grid == 0.0)[0])

@@ -80,16 +80,21 @@ def test_bdg_command_includes_oracle_pass(config_path, tmp_path):
 def test_bdg_command_commensurate_5_4_is_stable(tmp_path):
     # k_c ratio 5/4 at the default cutoff: T + 2A is diagonally dominant, so
     # the spectrum is real and the run must not report an instability.
-    config = tmp_path / "ratio54.cfg"
-    config.write_text(
-        "[trap]\nomega_r = 2.7 kHz\nomega_x = 0.83 Hz\natoms = 5456\n\n"
-        "[surface]\nz_cm = 2.1738 um\nlambda_c = 9.4804 um\nh = 0.7023 um\n"
-        "lambda_c2 = 7.58432 um\nh2 = 0.7023 um\n"
-    )
-    out = tmp_path / "out"
-    assert _run("bdg", str(config), out) == 0
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["oracle_compare"]["all_pass"] is True
+    ratio54 = ("[trap]\nomega_r = 2.7 kHz\nomega_x = 0.83 Hz\natoms = 5456\n\n"
+               "[surface]\nz_cm = 2.1738 um\nlambda_c = 9.4804 um\nh = 0.7023 um\n"
+               "lambda_c2 = 7.58432 um\nh2 = 0.7023 um\n")
+    # k_c ratio 9/7 at M = 5: the M = 4 drift probe cannot hold a zone-edge
+    # pair that M = 5 holds, so the run has no drift figure instead of failing.
+    ratio97 = CONFIG.replace("h = 1 um", "h = 1 um\nlambda_c2 = 7.583333333333333 um\nh2 = 0.5 um"
+                             ).replace("bdg_cutoff = 12", "bdg_cutoff = 5")
+    for name, text, drift_is_null in (("ratio54", ratio54, False), ("ratio97", ratio97, True)):
+        config = tmp_path / f"{name}.cfg"
+        config.write_text(text)
+        out = tmp_path / name
+        assert _run("bdg", str(config), out) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["oracle_compare"]["all_pass"] is True
+        assert (summary["bdg"]["drift_vs_coarser"] is None) is drift_is_null
 
 
 @pytest.mark.parametrize("numerics, key", [

@@ -98,3 +98,4 @@ def test_metadata_lists_join_with_semicolons():
     assert format_value([1.0, -0.0]) == "1.000000000e+00;-0.000000000e+00"
     assert format_value(()) == ""
     assert format_value((2, True, "x")) == "2;true;x"
+    assert format_value(None) == "null"
