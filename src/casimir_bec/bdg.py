@@ -169,8 +169,6 @@ def zone_edge_gap(
         mu_tilde=mu_tilde, species=species, k_base=k_base,
         potential=tuple(sorted(coeffs.items())), q_bloch=q_b, cutoff=cutoff,
     )
-    values, vectors = solve_bdg(problem, return_vectors=True)
-
     m, n_pw = problem.cutoff, problem.dimension
     slots = []
     for target in (q_n, -q_n):
@@ -181,6 +179,7 @@ def zone_edge_gap(
             )
         slots.append(j + m)
 
+    values, vectors = solve_bdg(problem, return_vectors=True)
     positive = np.flatnonzero(values > 1e-12 * mu_tilde)
     weights = np.abs(vectors[:n_pw, positive]) ** 2 + np.abs(vectors[n_pw:, positive]) ** 2
     weights /= np.sum(weights, axis=0)

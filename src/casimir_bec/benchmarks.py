@@ -131,9 +131,12 @@ def mixing_scenario():
 
 MIXING_BDG_CUTOFF = 128
 
+# Long-pulse check: probe count, and the exclusion in kernel widths 2*pi/tau.
+LONGPULSE_PROBES = 33
+LONGPULSE_EXCLUSION_WIDTHS = 5.0
 
-def longpulse_shape_deviation(params, u_1: float, q: float,
-                              n_probe: int = 33, exclusion_widths: float = 5.0) -> float:
+
+def longpulse_shape_deviation(params, u_1: float, q: float) -> float:
     """Max pointwise deviation between the normalized long-pulse response
     and the normalized DSF.
 
@@ -144,31 +147,29 @@ def longpulse_shape_deviation(params, u_1: float, q: float,
 
         (hbar q V_B^2 / 2) integral dw' S(q, w') (tau/2) sinc^2((w - w') tau / 2 pi),
 
-    with sinc(x) = sin(pi x)/(pi x).  Probes exclude
-    `exclusion_widths` kernel widths (2*pi/tau) around the divergence
-    markers and the support edges, where the finite-pulse kernel cannot
-    follow the integrable singularity; both curves are normalized to
-    their maximum over the probe set.
+    with sinc(x) = sin(pi x)/(pi x).  Probes exclude LONGPULSE_EXCLUSION_WIDTHS
+    kernel widths around the divergence markers and the support edges, where
+    the finite-pulse kernel cannot follow the integrable singularity; both
+    curves are normalized to their maximum over the probe set.
     """
     e_b = bogoliubov_dispersion(q, params.mu_tilde, params.species)
     tau = 100.0 * HBAR / e_b
-    kernel_width = TWO_PI / tau
+    exclusion = LONGPULSE_EXCLUSION_WIDTHS * (TWO_PI / tau)
     grid = default_lda_grid(params, q, abs(u_1), n_points=4001)
     dsf = dsf_lda(q, grid, params, u_1)
 
-    lo = min(s[0] for s in dsf.supports) / HBAR + exclusion_widths * kernel_width
-    hi = max(s[1] for s in dsf.supports) / HBAR - exclusion_widths * kernel_width
-    markers = [e / HBAR for e in dsf.resonance_energies]
-    probe_idx = [
-        i for i, w in enumerate(dsf.omega)
-        if lo <= w <= hi and all(abs(w - mk) > exclusion_widths * kernel_width for mk in markers)
-    ]
-    if not probe_idx:
+    w = dsf.omega
+    lo = min(s[0] for s in dsf.supports) / HBAR + exclusion
+    hi = max(s[1] for s in dsf.supports) / HBAR - exclusion
+    markers = np.array(dsf.resonance_energies) / HBAR
+    probe_idx = np.flatnonzero((lo <= w) & (w <= hi)
+                               & np.all(np.abs(w[:, None] - markers) > exclusion, axis=1))
+    if probe_idx.size == 0:
         raise ValueError(
-            f"exclusion of {exclusion_widths} kernel widths leaves no probe points; "
+            f"exclusion of {LONGPULSE_EXCLUSION_WIDTHS} kernel widths leaves no probe points; "
             "the pulse is too short for this branch"
         )
-    probe_idx = probe_idx[:: max(1, len(probe_idx) // n_probe)]
+    probe_idx = probe_idx[:: max(1, probe_idx.size // LONGPULSE_PROBES)]
 
     responses = pulse_averaged_drive(dsf.omega[probe_idx], q, tau, dsf)
     s_probe = dsf.total[probe_idx]
@@ -225,8 +226,7 @@ def validate_reference() -> ValidationTable:
     rows: list[ValidationRow] = []
     species = RB87
     params = benchmark_params()
-    surface = benchmark_surface()
-    k_c = surface.fundamentals[0].k_c
+    k_c = benchmark_surface().fundamentals[0].k_c
     q_1 = k_c / 2.0
 
     rows.append(_rel("sigma_um", 0.2, params.sigma * 1e6, 0.05))
@@ -240,15 +240,14 @@ def validate_reference() -> ValidationTable:
     rows.append(_rel("E_B_q1_Hz", 77.0, energy_to_frequency(e_b1), 0.02))
     rows.append(_abs("F_q1", 0.08, f_q1, 0.005))
 
-    pot = lateral_coefficients(surface, species)
+    pots = []
+    for label, reference, eta_f in (("U1_perfect_Hz", 0.22, 1.0), ("U1_gold_Hz", 0.20, ETA_GOLD),
+                                    ("U1_silicon_Hz", 0.16, ETA_SILICON)):
+        pots.append(lateral_coefficients(benchmark_surface(eta_f), species))
+        u1_eta = pots[-1].components[0].coefficients[0]
+        rows.append(_rel(label, reference, energy_to_frequency(abs(u1_eta)), 0.10))
+    pot = pots[0]
     u_1 = pot.components[0].coefficients[0]
-    rows.append(_rel("U1_perfect_Hz", 0.22, energy_to_frequency(abs(u_1)), 0.10))
-    pot_gold = lateral_coefficients(benchmark_surface(eta_f=ETA_GOLD), species)
-    rows.append(_rel("U1_gold_Hz", 0.20,
-                     energy_to_frequency(abs(pot_gold.components[0].coefficients[0])), 0.10))
-    pot_si = lateral_coefficients(benchmark_surface(eta_f=ETA_SILICON), species)
-    rows.append(_rel("U1_silicon_Hz", 0.16,
-                     energy_to_frequency(abs(pot_si.components[0].coefficients[0])), 0.10))
 
     gaps = perturbative_gaps(params, pot)
     gap_1 = gaps.entry().gap

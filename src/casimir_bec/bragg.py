@@ -180,12 +180,9 @@ def _sample_branch(q, params, u_abs, sign, omega):
             "is not monotone and the branch inversion breaks down"
         )
 
-    def energy(e0):
-        return e0 + sign * (t_q / (2.0 * e0)) * u_abs
-
     e0_top = _local_e0(0.0, t_q, mu, half)
-    e_top = energy(e0_top)
-    e_bottom = energy(_local_e0(half, t_q, mu, half))
+    e_top = local_spectrum(0.0, q, params, u_abs, sign)
+    e_bottom = local_spectrum(half, q, params, u_abs, sign)
     s = np.zeros_like(omega)
     node_w = _trapezoid_node_weights(omega)
 
@@ -247,19 +244,12 @@ def dsf_lda(q: float, omega_grid, params: Quasi1DParams, u_n: float) -> DsfSpect
     if omega.size < 8 or np.any(np.diff(omega) <= 0.0):
         raise ContractError("omega grid must be increasing with at least 8 points")
     u_abs = abs(u_n)
-    if u_abs == 0.0:
-        s, i_res, support, w = _sample_branch(q, params, 0.0, -1, omega)
-        return DsfSpectrum(
-            q=q, omega=omega, s_minus=s, s_plus=np.zeros_like(omega),
-            resonance_bins=(i_res,), supports=(support,), branch_weights=(w,), kind="lda",
-        )
-    s_minus, i_minus, sup_minus, w_minus = _sample_branch(q, params, u_abs, -1, omega)
-    s_plus, i_plus, sup_plus, w_plus = _sample_branch(q, params, u_abs, +1, omega)
+    signs = (-1,) if u_abs == 0.0 else (-1, 1)
+    samples, bins, supports, weights = zip(*(_sample_branch(q, params, u_abs, sign, omega)
+                                             for sign in signs))
     return DsfSpectrum(
-        q=q, omega=omega, s_minus=s_minus, s_plus=s_plus,
-        resonance_bins=(i_minus, i_plus),
-        supports=(sup_minus, sup_plus),
-        branch_weights=(w_minus, w_plus), kind="lda",
+        q=q, omega=omega, s_minus=samples[0], s_plus=samples[1] if u_abs else np.zeros_like(omega),
+        resonance_bins=bins, supports=supports, branch_weights=weights, kind="lda",
     )
 
 

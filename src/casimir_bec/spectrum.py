@@ -42,8 +42,7 @@ def suppression_factor(q, mu_tilde: float, species: AtomSpecies):
     q_arr = np.asarray(q, dtype=float)
     t = np.asarray(free_kinetic_energy(q_arr, species))
     e = np.asarray(bogoliubov_dispersion(q_arr, mu_tilde, species))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        f = np.where(q_arr == 0.0, 0.0, t / np.where(e == 0.0, 1.0, e))
+    f = t / np.where(e == 0.0, 1.0, e)
     return float(f) if np.isscalar(q) or q_arr.ndim == 0 else f
 
 
@@ -209,6 +208,15 @@ class CoupledModeReport:
     mixing_regime: bool
 
 
+def _first_seen(values: np.ndarray, abs_tol: float) -> list[int]:
+    """Indices of the values not close to an earlier kept one."""
+    vals, kept = values.tolist(), []
+    for i, v in enumerate(vals):
+        if not any(math.isclose(v, vals[j], rel_tol=_K_TOL, abs_tol=abs_tol) for j in kept):
+            kept.append(i)
+    return kept
+
+
 def coupled_mode_gaps(params: Quasi1DParams, pot: LateralPotential) -> CoupledModeReport:
     """Near-degenerate block for two corrugation fundamentals.
 
@@ -230,56 +238,37 @@ def coupled_mode_gaps(params: Quasi1DParams, pot: LateralPotential) -> CoupledMo
         )
 
     mu, sp = params.mu_tilde, params.species
-    k1, k2 = (comp.k_c for comp in pot.components)
-    u1 = pot.components[0].coefficients[0]
-    u2 = pot.components[1].coefficients[0]
-    couplings = [(k1, u1), (k2, u2)]
+    couplings = tuple((comp.k_c, comp.coefficients[0]) for comp in pot.components)
+    (k1, u1), (k2, _) = couplings
+    hops = np.array([k1, -k1, k2, -k2])
+    dedup_tol = _K_TOL * max(k1, k2)
 
-    def push(momenta_list, q):
-        for q_have in momenta_list:
-            if math.isclose(q, q_have, rel_tol=_K_TOL, abs_tol=_K_TOL * max(k1, k2)):
-                return
-        momenta_list.append(q)
+    seeds = (hops / 2.0)[_first_seen(hops / 2.0, dedup_tol)]
+    cand = np.concatenate([seeds, (seeds[:, None] + hops).ravel()])
+    # E_B and F one momentum at a time: numpy squares a scalar with pow() and
+    # an array with x*x, which differ in the last bit for ~1 momentum in 2000.
+    e = np.array([bogoliubov_dispersion(abs(c), mu, sp) for c in cand.tolist()])
+    in_window = np.flatnonzero(e <= 2.0 * e[:seeds.size].max())  # E_B >= 0: every seed
+    basis = in_window[_first_seen(cand[in_window], dedup_tol)]
+    basis = basis[np.argsort(cand[basis])]
+    momenta = cand[basis]
+    f = np.array([suppression_factor(abs(q), mu, sp) for q in momenta.tolist()])
 
-    seeds = []
-    for s in (k1 / 2.0, -k1 / 2.0, k2 / 2.0, -k2 / 2.0):
-        push(seeds, s)
-    e_window = 2.0 * max(bogoliubov_dispersion(abs(s), mu, sp) for s in seeds)
-    momenta = list(seeds)
-    for s in seeds:
-        for k_f, _ in couplings:
-            for cand in (s + k_f, s - k_f):
-                if bogoliubov_dispersion(abs(cand), mu, sp) <= e_window:
-                    push(momenta, cand)
-    momenta.sort()
-
-    dim = len(momenta)
-    h = np.zeros((dim, dim))
-    for i, qi in enumerate(momenta):
-        h[i, i] = bogoliubov_dispersion(abs(qi), mu, sp)
-        for j in range(i + 1, dim):
-            qj = momenta[j]
-            value = 0.0
-            for k_f, u_f in couplings:
-                if math.isclose(abs(qi - qj), k_f, rel_tol=_K_TOL):
-                    value += two_state_coupling(qi, qj, u_f, mu, sp)
-            h[i, j] = h[j, i] = value
+    # math.isclose(..., rel_tol=_K_TOL) elementwise.  A hop |q_i - q_j| = k_f
+    # has no absolute floor.  A zone edge |q| = k_f/2 has abs_tol _K_TOL * k_f,
+    # which exceeds _K_TOL * k_f/2, so its bound is _K_TOL * max(|q|, k_f).
+    h = np.diag(e[basis])
+    distance = np.abs(momenta[:, None] - momenta[None, :])
+    for k_f, u_f in couplings:  # fundamental 0 first: identical ones superpose
+        hop = np.abs(distance - k_f) <= _K_TOL * np.maximum(distance, k_f)
+        h += np.where(hop, -(u_f / 2.0) * np.sqrt(np.outer(f, f)), 0.0)  # two_state_coupling
     eigenvalues, vectors = np.linalg.eigh(h)
-
-    def splitting_for(k_f: float) -> float:
-        targets = [k_f / 2.0, -k_f / 2.0]
-        weights = np.zeros(dim)
-        for t in targets:
-            for i, qi in enumerate(momenta):
-                if math.isclose(qi, t, rel_tol=_K_TOL, abs_tol=_K_TOL * k_f):
-                    weights += vectors[i, :] ** 2
-        top_two = np.argsort(weights)[-2:]
-        return float(abs(eigenvalues[top_two[0]] - eigenvalues[top_two[1]]))
-
-    independent = tuple(
-        abs(u_f) * suppression_factor(k_f / 2.0, mu, sp) for k_f, u_f in couplings
-    )
-    splittings = (splitting_for(k1), splitting_for(k2))
+    splittings, independent = [], []
+    for k_f, u_f in couplings:
+        edge = np.abs(np.abs(momenta) - k_f / 2.0) <= _K_TOL * np.maximum(np.abs(momenta), k_f)
+        top_two = np.argsort(np.sum(vectors[edge] ** 2, axis=0))[-2:]
+        splittings.append(float(abs(eigenvalues[top_two[0]] - eigenvalues[top_two[1]])))
+        independent.append(abs(u_f) * suppression_factor(k_f / 2.0, mu, sp))
     deviations = tuple(
         s / g - 1.0 if g > 0.0 else 0.0 for s, g in zip(splittings, independent)
     )
@@ -289,9 +278,9 @@ def coupled_mode_gaps(params: Quasi1DParams, pot: LateralPotential) -> CoupledMo
     separation = abs(k1 - k2)
     sep_ratio = separation / dk_min if dk_min > 0.0 else math.inf
     return CoupledModeReport(
-        momenta=tuple(momenta),
-        splittings=splittings,
-        independent_gaps=independent,
+        momenta=tuple(momenta.tolist()),
+        splittings=tuple(splittings),
+        independent_gaps=tuple(independent),
         deviations=deviations,
         dk_min=dk_min,
         separation_over_dk_min=sep_ratio,

@@ -193,8 +193,8 @@ def load_tabulated_response(path: str) -> Callable[[float, float], float]:
     """Load a rectangular (k, z) -> g grid and return a bilinear interpolator.
 
     File format: CSV with header ``k_radpm,z_m,g_Jpm``, rows in row-major
-    order (k outer, z inner), both axes strictly increasing; lines starting
-    with '#' are comments.  A refusal names the file's own line number.
+    order (k outer, z inner), both axes strictly increasing, all values finite;
+    lines starting with '#' are comments.  A refusal names its file line.
     Queries outside the grid raise ExtrapolationError; there is no
     extrapolation.
     """
@@ -220,6 +220,8 @@ def load_tabulated_response(path: str) -> Callable[[float, float], float]:
             rows.append(tuple(float(c) for c in row))
         except ValueError as exc:
             raise ConfigurationError(f"{path}:{lineno}: {exc}") from None
+        if not all(map(math.isfinite, rows[-1])):
+            raise ConfigurationError(f"{path}:{lineno}: values must be finite, got {','.join(row)!r}")
     if not rows:
         raise ConfigurationError(f"{path}: empty response table")
 

@@ -1,6 +1,7 @@
 """Exact BdG diagonalization: structure, limits, convergence, oracle role."""
 
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -12,11 +13,13 @@ from hypothesis import strategies as st
 from casimir_bec import (
     RB87,
     ContractError,
+    Corrugation,
     InstabilityError,
     LateralPotential,
     PotentialComponent,
     UnsupportedConfigurationError,
     bogoliubov_dispersion,
+    lateral_coefficients,
     perturbative_gaps,
 )
 from casimir_bec.bdg import (
@@ -176,6 +179,18 @@ def test_drift_is_null_without_a_coarser_basis(params, pot):
     bands = solve_bdg_bands(mix_params.mu_tilde, mix_params.species, mix_pot,
                             q_grid=[0.0], cutoff=32)
     assert bands.drift_vs_coarser is None
+
+
+def test_uncovered_cutoff_refused_before_solving(params, surface):
+    # A 9/7 grating pair: M = 4 misses a zone-edge state of the second
+    # fundamental, which the slots show without an eigendecomposition.
+    pair = replace(surface, fundamentals=(
+        *surface.fundamentals,
+        Corrugation(k_c=2.0 * np.pi / 7.583333333333333e-6, amplitudes=(0.5e-6,))))
+    lateral = lateral_coefficients(pair, RB87)
+    with mock.patch("casimir_bec.bdg.solve_bdg", side_effect=AssertionError("solved")):
+        with pytest.raises(UnsupportedConfigurationError, match="does not cover"):
+            zone_edge_gap(params.mu_tilde, RB87, lateral, fundamental=1, cutoff=4)
 
 
 def test_goldstone_zero_appears_once(params, pot):

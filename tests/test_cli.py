@@ -255,6 +255,16 @@ def test_missing_response_file_refused(config_path, tmp_path, capsys):
     assert f"cannot read response table {str(missing)!r}" in err
     assert not (tmp_path / "o").exists()
 
+    # A table that parses but holds a non-finite g is refused at its line.
+    missing.parent.mkdir()
+    missing.write_text("k_radpm,z_m,g_Jpm\n1e5,1e-6,1e-30\n1e5,5e-6,1e-31\n"
+                       "1e6,1e-6,inf\n1e6,5e-6,1e-31\n")
+    for command in COMMAND_FILES:
+        assert _run(command, str(cfg_path), tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert f"{missing}:4: values must be finite" in err
+        assert not (tmp_path / "o").exists()
+
 
 @pytest.mark.parametrize("command", [*COMMAND_FILES, "validate"])
 def test_out_not_a_directory_refused(config_path, tmp_path, capsys, monkeypatch, command):

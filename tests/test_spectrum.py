@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from casimir_bec import (
@@ -29,6 +29,12 @@ from casimir_bec import (
 )
 from casimir_bec.benchmarks import mixing_scenario, separated_scenario
 from casimir_bec.constants import HBAR
+from casimir_bec.spectrum import (
+    _K_TOL,
+    MIXING_SEPARATION_FACTOR,
+    CoupledModeReport,
+    two_state_coupling,
+)
 
 
 def test_suppression_benchmark(params, q_1):
@@ -296,3 +302,105 @@ def test_coupled_rejects_wrong_counts(params, pot):
     ))
     with pytest.raises(UnsupportedConfigurationError):
         coupled_mode_gaps(params, multi_harmonic)
+
+
+# Reference oracle: the block filled with index loops, one pair at a time.
+
+
+def _loop_coupled_mode_gaps(params, pot) -> CoupledModeReport:
+    """The index-loop block: slow oracle for coupled_mode_gaps."""
+    mu, sp = params.mu_tilde, params.species
+    k1, k2 = (comp.k_c for comp in pot.components)
+    u1 = pot.components[0].coefficients[0]
+    u2 = pot.components[1].coefficients[0]
+    couplings = [(k1, u1), (k2, u2)]
+
+    def push(momenta_list, q):
+        for q_have in momenta_list:
+            if math.isclose(q, q_have, rel_tol=_K_TOL, abs_tol=_K_TOL * max(k1, k2)):
+                return
+        momenta_list.append(q)
+
+    seeds = []
+    for s in (k1 / 2.0, -k1 / 2.0, k2 / 2.0, -k2 / 2.0):
+        push(seeds, s)
+    e_window = 2.0 * max(bogoliubov_dispersion(abs(s), mu, sp) for s in seeds)
+    momenta = list(seeds)
+    for s in seeds:
+        for k_f, _ in couplings:
+            for cand in (s + k_f, s - k_f):
+                if bogoliubov_dispersion(abs(cand), mu, sp) <= e_window:
+                    push(momenta, cand)
+    momenta.sort()
+
+    dim = len(momenta)
+    h = np.zeros((dim, dim))
+    for i, qi in enumerate(momenta):
+        h[i, i] = bogoliubov_dispersion(abs(qi), mu, sp)
+        for j in range(i + 1, dim):
+            qj = momenta[j]
+            value = 0.0
+            for k_f, u_f in couplings:
+                if math.isclose(abs(qi - qj), k_f, rel_tol=_K_TOL):
+                    value += two_state_coupling(qi, qj, u_f, mu, sp)
+            h[i, j] = h[j, i] = value
+    eigenvalues, vectors = np.linalg.eigh(h)
+
+    def splitting_for(k_f: float) -> float:
+        targets = [k_f / 2.0, -k_f / 2.0]
+        weights = np.zeros(dim)
+        for t in targets:
+            for i, qi in enumerate(momenta):
+                if math.isclose(qi, t, rel_tol=_K_TOL, abs_tol=_K_TOL * k_f):
+                    weights += vectors[i, :] ** 2
+        top_two = np.argsort(weights)[-2:]
+        return float(abs(eigenvalues[top_two[0]] - eigenvalues[top_two[1]]))
+
+    independent = tuple(
+        abs(u_f) * suppression_factor(k_f / 2.0, mu, sp) for k_f, u_f in couplings
+    )
+    splittings = (splitting_for(k1), splitting_for(k2))
+    deviations = tuple(
+        s / g - 1.0 if g > 0.0 else 0.0 for s, g in zip(splittings, independent)
+    )
+
+    e1 = bogoliubov_dispersion(k1 / 2.0, mu, sp)
+    dk_min = min_resolvable_separation(k1, abs(u1), e1)
+    separation = abs(k1 - k2)
+    sep_ratio = separation / dk_min if dk_min > 0.0 else math.inf
+    return CoupledModeReport(
+        momenta=tuple(momenta),
+        splittings=splittings,
+        independent_gaps=independent,
+        deviations=deviations,
+        dk_min=dk_min,
+        separation_over_dk_min=sep_ratio,
+        mixing_regime=sep_ratio < MIXING_SEPARATION_FACTOR,
+    )
+
+
+# The examples hold a basis momentum whose E_B or F differs in the last bit
+# between a scalar and an array evaluation.
+@settings(derandomize=True, max_examples=200, deadline=None)
+@example(k_1="reference", ratio=3.692, u_1=0.024, u_2=0.06)
+@example(k_1="mixing", ratio=3.043, u_1=0.071, u_2=0.014)
+@given(
+    k_1=st.sampled_from(["reference", "mixing"]),
+    ratio=st.one_of(st.sampled_from([1.0, 3.0 / 2.0, 5.0 / 3.0, 3.0, 63.0 / 62.0]),
+                    st.floats(0.5, 4.0)),
+    u_1=st.one_of(st.just(0.0), st.floats(0.0, 0.1)),
+    u_2=st.one_of(st.just(0.0), st.floats(0.0, 0.1)),
+)
+def test_coupled_block_matches_loop_oracle(params, k_1, ratio, u_1, u_2):
+    # k_1 at the reference grating (phonon-like zone edge) or at the mixing
+    # scenario's T_q = mu_tilde/10; u in units of E_B(k_1/2).
+    k_1 = (2.0 * math.pi / 9.75e-6 if k_1 == "reference"
+           else 2.0 * params.k_mu / math.sqrt(10.0))
+    e_b = bogoliubov_dispersion(k_1 / 2.0, params.mu_tilde, RB87)
+    pot = LateralPotential(components=(
+        PotentialComponent(k_c=k_1, coefficients=(u_1 * e_b,)),
+        PotentialComponent(k_c=ratio * k_1, coefficients=(u_2 * e_b,)),
+    ))
+    fast, slow = coupled_mode_gaps(params, pot), _loop_coupled_mode_gaps(params, pot)
+    for field in CoupledModeReport.__dataclass_fields__:
+        assert getattr(fast, field) == getattr(slow, field), field

@@ -278,6 +278,10 @@ def test_tabulated_refusal_names_the_file_line(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigurationError, match=r"c\.csv:5: expected 3 columns"):
         load_tabulated_response(str(path))
+    lines[4] = "1,2,nan"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigurationError, match=r"c\.csv:5: values must be finite, got '1,2,nan'"):
+        load_tabulated_response(str(path))
 
 
 def test_tabulated_unparsable_field_refused(tmp_path):
