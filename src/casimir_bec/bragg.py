@@ -38,8 +38,11 @@ This module evaluates it for a cloud at equilibrium and zero temperature,
 the regime in which the pulse reads S(q, w) off the signal.  The cloud
 rests at X = 0, so the trap term is zero; the TF density is even in x, so
 every <sin(n k_c x)> is zero by parity; and S(-q,-w') vanishes for w' > 0.
-Only the drive term is left (bragg_signal).  Averaged over the pulse, the
-drive kernel integrates exactly,
+Only the drive term is left (bragg_signal).  On uniform time and omega
+grids, e^{i(w - w'_j) t_k} factors into chirps in j and k, so the drive at
+all times is one chirp-z transform (Bluestein 1970): three FFTs, O((n_time
++ n_omega) log) work, no (times x grid) matrix.  A non-uniform omega grid
+is refused.  Averaged over the pulse, the drive kernel integrates exactly,
 
     (1/tau) integral_0^tau sin(D t)/D dt = (tau/2) sinc^2(D tau / 2 pi),
 
@@ -315,6 +318,64 @@ def pulse_averaged_drive(omegas, q: float, tau: float, dsf_pos: DsfSpectrum) -> 
     return (HBAR * q / 2.0) * (kernel @ weights)
 
 
+# Nodes with |w - w'| t_max below this are summed directly: in the
+# transform their weight S/(w - w') would cost digits to cancellation.
+_NEAR_NODE = 1e-3
+# An omega grid is uniform if every node lies within this share of the
+# largest |w'| of the line through its ends: 18 ulp, where a linspace or
+# arange is off by 2 at most.  A node shift d moves the drive by ~ d * tau,
+# which this bound keeps near 2e-11 of max|drive| at w * tau ~ 1e4.
+_UNIFORM_RTOL = 4e-15
+
+
+def _uniform_step(omega: np.ndarray) -> float:
+    """The step of a uniform omega grid; any other grid is refused."""
+    step = (omega[-1] - omega[0]) / (omega.size - 1)
+    deviation = float(np.max(np.abs(omega - (omega[0] + step * np.arange(omega.size)))))
+    if deviation > _UNIFORM_RTOL * float(np.max(np.abs(omega))):
+        raise ContractError(
+            f"omega grid is not uniform: a node lies {deviation:.3g} rad/s "
+            f"({deviation / abs(step):.3g} steps) off the line through its ends; "
+            "the drive kernel needs a uniform grid (np.linspace)"
+        )
+    return step
+
+
+def _sin_sum(detuning: np.ndarray, step: float, times: np.ndarray,
+             weights: np.ndarray) -> np.ndarray:
+    """sum_j weights_j sin(D_j t_k) / D_j at uniform times t_k = k dt from
+    0, for detunings D_j on a grid of spacing -step.
+
+    Far from the nodes the sum is Im sum_j (weights_j / D_j) e^{i D_j t_k}.
+    About the node c nearest resonance, e^{i D_j t_k} = e^{i D_c t_k}
+    e^{-i (j - c) k theta} with theta = step dt, and writing
+    (j - c) k = ((j - c)^2 + k^2 - (k - j + c)^2) / 2 turns the sum into
+    one convolution with the chirp e^{i theta r^2 / 2}: a chirp-z transform
+    (Bluestein 1970), three FFTs of length >= n_omega + n_time - 1.
+    Centring on c keeps every phase that multiplies a large 1/D small.
+    """
+    near = np.abs(detuning) * times[-1] < _NEAR_NODE
+    total = times * (np.sinc(np.multiply.outer(times, detuning[near]) / math.pi)
+                     @ weights[near])
+    if near.all():
+        return total
+    n, m = detuning.size, times.size
+    c = int(np.argmin(np.abs(detuning)))
+    offsets = np.arange(n) - c
+    # 1/D on the ideal grid, as in the phases: an ulp of w' then shifts a
+    # term by ulp * t instead of being amplified by 1/D.
+    ideal = detuning[c] - step * offsets
+    coeffs = np.where(near, 0.0, weights) / np.where(near, 1.0, ideal)
+    chirp = np.exp(0.5j * (step * times[1]) * np.arange(max(m + c, n - c)) ** 2)
+    size = 1 << (n + m - 2).bit_length()
+    kernel = np.zeros(size, dtype=complex)
+    kernel[:m + c] = chirp[:m + c]
+    kernel[size - (n - 1 - c):] = chirp[n - 1 - c:0:-1]
+    conv = np.fft.ifft(np.fft.fft(coeffs * chirp[np.abs(offsets)].conj(), size)
+                       * np.fft.fft(kernel))[c:c + m]
+    return total + (np.exp(1j * detuning[c] * times) * chirp[:m].conj() * conv).imag
+
+
 def bragg_signal(pulse: BraggPulse, dsf_pos: DsfSpectrum, n_time: int = 512) -> BraggSignal:
     """dP_X/dt and P_X at n_time uniform times over the pulse.
 
@@ -324,18 +385,24 @@ def bragg_signal(pulse: BraggPulse, dsf_pos: DsfSpectrum, n_time: int = 512) -> 
 
         dP_X/dt = (hbar q V_B^2 / 2) integral dw' S(q,w') sin((w - w')t)/(w - w'),
 
-    one (times x grid) matrix-vector product, and P_X is its cumulative
-    trapezoid from P_X(0) = 0.
+    with the integral a trapezoid sum over the omega grid.  The omega grid
+    must be uniform (anything else is a ContractError); on it and on the
+    uniform times the sum at all times is one chirp-z transform, O((n_time
+    + n_omega) log) work and memory, with no (times x grid) matrix.  The
+    few nodes within 1e-3 / tau of w, where 1/(w - w') would cost digits,
+    are summed directly.  P_X is the cumulative trapezoid of dP_X/dt from
+    P_X(0) = 0.
     """
+    if n_time < 1:
+        raise ContractError(f"n_time must be >= 1, got {n_time!r}")
     times = np.linspace(0.0, pulse.tau, n_time)
+    step = _uniform_step(dsf_pos.omega)
     dpdt = np.zeros_like(times)
     if pulse.v_b != 0.0:
         _check_support(dsf_pos, pulse.tau)  # here, so a warning names our caller
-        t = times[:, None]
-        # sin(D t)/D with D = w - w', exact at D = 0
-        kernel = t * np.sinc((pulse.omega - dsf_pos.omega)[None, :] * t / math.pi)
         weights = dsf_pos.total * _trapezoid_node_weights(dsf_pos.omega)
-        dpdt = (HBAR * pulse.q * pulse.v_b**2 / 2.0) * (kernel @ weights)
+        dpdt = (HBAR * pulse.q * pulse.v_b**2 / 2.0) * _sin_sum(
+            pulse.omega - dsf_pos.omega, step, times, weights)
     p_x = np.concatenate(([0.0], np.cumsum(0.5 * (dpdt[1:] + dpdt[:-1]) * np.diff(times))))
     return BraggSignal(times=times, dpdt=dpdt, p_x=p_x)
 

@@ -286,6 +286,119 @@ def test_signal_scales_with_vb_squared(params, q_1, dsf_ref):
     np.testing.assert_allclose(s3.dpdt, 9.0 * s1.dpdt, rtol=1e-12)
 
 
+# Reference oracle: the drive on the full (times x grid) sinc matrix, the
+# kernel bragg_signal evaluated before the chirp-z transform.
+
+
+def _dense_drive(pulse, dsf, n_time):
+    t = np.linspace(0.0, pulse.tau, n_time)[:, None]
+    kernel = t * np.sinc((pulse.omega - dsf.omega)[None, :] * t / math.pi)
+    weights = dsf.total * bragg._trapezoid_node_weights(dsf.omega)
+    return (HBAR * pulse.q * pulse.v_b**2 / 2.0) * (kernel @ weights)
+
+
+def _random_spectrum(omega, seed):
+    """A DsfSpectrum of nonnegative samples, a third of them zero, with
+    zero ends so its support is not clipped."""
+    rng = np.random.default_rng(seed)
+    s = rng.random(omega.size) * (rng.random(omega.size) < 0.67)
+    s[0] = s[-1] = 0.0
+    s[omega.size // 2] = 1.0
+    return bragg.DsfSpectrum(
+        q=1.0, omega=omega, s_minus=s, s_plus=np.zeros_like(omega), resonance_bins=(0,),
+        supports=((HBAR * omega[0], HBAR * omega[-1]),), branch_weights=(1.0,), kind="lda")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n_omega=st.integers(8, 4001), n_time=st.integers(1, 1024),
+       step_tau=st.floats(1e-3, 0.9), offset_spans=st.floats(0.0, 1.0),
+       probe=st.sampled_from(["inside", "below", "above", "node", "near", "beyond"]),
+       where=st.floats(0.0, 1.0), near_factor=st.floats(0.5, 2.0),
+       roundoff=st.floats(-1.0, 1.0), seed=st.integers(0, 2**16))
+@example(n_omega=2001, n_time=512, step_tau=0.03, offset_spans=0.6, probe="inside",
+         where=0.5, near_factor=1.0, roundoff=0.0, seed=0)  # the pipeline's shape
+@example(n_omega=4001, n_time=1, step_tau=0.5, offset_spans=0.0, probe="inside",
+         where=0.3, near_factor=1.0, roundoff=0.0, seed=1)
+def test_chirp_z_drive_matches_dense_sinc(n_omega, n_time, step_tau, offset_spans, probe,
+                                          where, near_factor, roundoff, seed):
+    # A linspace grid, each inner node then moved by up to the uniformity
+    # tolerance: any grid bragg_signal accepts meets the dense oracle.
+    span = 1.0e3
+    lo = offset_spans * span
+    grid = np.linspace(lo, lo + span, n_omega)
+    step = span / (n_omega - 1)
+    jitter = np.random.default_rng(seed).uniform(-0.99, 0.99, n_omega)
+    jitter[[0, -1]] = 0.0
+    grid = grid + roundoff * bragg._UNIFORM_RTOL * (lo + span) * jitter
+    tau = step_tau / step
+    node = grid[int(where * (n_omega - 1))]
+    threshold = bragg._NEAR_NODE / tau
+    omega = {"inside": lo + where * span,
+             "below": lo - (0.01 + 3.0 * where) * span,
+             "above": lo + (1.01 + 3.0 * where) * span,
+             "node": node,
+             "near": node + math.copysign(near_factor * threshold, where - 0.5),
+             "beyond": node + (1.0 + where) * step}[probe]
+    dsf = _random_spectrum(grid, seed)
+    pulse = BraggPulse(q=3.2e5, omega=omega, v_b=1.0, tau=tau)
+    signal = bragg_signal(pulse, dsf, n_time=n_time)
+    expected = _dense_drive(pulse, dsf, n_time)
+    if n_time == 1:
+        assert signal.dpdt.tolist() == [0.0] and signal.p_x.tolist() == [0.0]
+        return
+    scale = float(np.max(np.abs(expected)))
+    assert scale > 0.0
+    np.testing.assert_allclose(signal.dpdt, expected, rtol=0.0, atol=1e-10 * scale)
+
+
+def test_chirp_z_drive_matches_scipy_czt():
+    # Second oracle: scipy's chirp-z transform of S w / D with W = e^{-i theta},
+    # theta = d_omega dt, on a grid with no node near the probe.
+    from scipy.signal import czt
+
+    grid = np.linspace(2.0e3, 3.0e3, 301)
+    dsf = _random_spectrum(grid, 7)
+    pulse = BraggPulse(q=3.2e5, omega=3.4e3, v_b=1.0, tau=0.2)
+    n_time = 64
+    times = np.linspace(0.0, pulse.tau, n_time)
+    detuning = pulse.omega - grid
+    coeffs = dsf.total * bragg._trapezoid_node_weights(grid) / detuning
+    theta = (grid[1] - grid[0]) * times[1]
+    sums = np.exp(1j * detuning[0] * times) * czt(coeffs, n_time, np.exp(-1j * theta), 1.0)
+    expected = (HBAR * pulse.q / 2.0) * sums.imag
+    signal = bragg_signal(pulse, dsf, n_time=n_time)
+    np.testing.assert_allclose(signal.dpdt, expected, rtol=0.0,
+                               atol=1e-10 * float(np.max(np.abs(expected))))
+
+
+def test_arange_grid_is_uniform_enough(params, q_1, u_1, dsf_ref):
+    # A grid built by np.arange is uniform to roundoff and runs.
+    lo, hi = dsf_ref.omega[0], dsf_ref.omega[-1]
+    grid = np.arange(lo, hi + 0.5 * (hi - lo) / 2000, (hi - lo) / 2000)
+    assert grid.size == 2001
+    spec = dsf_lda(q_1, grid, params, u_1)
+    e_b = bogoliubov_dispersion(q_1, params.mu_tilde, RB87)
+    pulse = BraggPulse(q=q_1, omega=e_b / HBAR, v_b=1.0, tau=100.0 * HBAR / e_b)
+    signal = bragg_signal(pulse, spec, n_time=128)
+    expected = _dense_drive(pulse, spec, 128)
+    np.testing.assert_allclose(signal.dpdt, expected, rtol=0.0,
+                               atol=1e-10 * float(np.max(np.abs(expected))))
+
+
+def test_non_uniform_grid_refused(params, q_1, u_1, dsf_ref):
+    # dsf_lda takes any increasing grid; the drive kernel does not.
+    grid = dsf_ref.omega.copy()
+    grid[1000] += 1e-3 * (grid[1] - grid[0])
+    spec = dsf_lda(q_1, grid, params, u_1)
+    e_b = bogoliubov_dispersion(q_1, params.mu_tilde, RB87)
+    pulse = BraggPulse(q=q_1, omega=e_b / HBAR, v_b=1.0, tau=100.0 * HBAR / e_b)
+    with pytest.raises(ContractError, match=r"not uniform: a node lies .* \(0\.001 steps\)"):
+        bragg_signal(pulse, spec, n_time=64)
+    geometric = np.geomspace(dsf_ref.omega[0], dsf_ref.omega[-1], 2001)
+    with pytest.raises(ContractError, match="not uniform"):
+        bragg_signal(pulse, dsf_lda(q_1, geometric, params, u_1), n_time=64)
+
+
 def test_signal_long_pulse_reads_dsf_shape(params, q_1, u_1):
     dev = longpulse_shape_deviation(params, u_1, q_1)
     assert dev < 0.05
@@ -347,9 +460,11 @@ def test_under_resolved_warning_names_the_caller(params, q_1, dsf_ref):
     assert caught[0].filename == __file__
 
 
-def test_pulse_validation(q_1):
+def test_pulse_validation(q_1, dsf_ref):
     with pytest.raises(PhysicsDomainError):
         BraggPulse(q=q_1, omega=1.0, v_b=1.0, tau=0.0)
+    with pytest.raises(ContractError, match="n_time"):
+        bragg_signal(BraggPulse(q=q_1, omega=1.0, v_b=1.0, tau=1.0), dsf_ref, n_time=0)
 
 
 # --- gap inversion -----------------------------------------------------------
