@@ -20,6 +20,17 @@ bound of a symmetric eigensolver, is a genuine dynamical instability;
 closer to zero it is roundoff and reads as E = 0.  K is the oracle for every
 perturbative gap in spectrum.py.  Two fundamentals must be commensurate
 (ratio p/r with p, r <= 64) so a common Bloch period exists.
+
+The potential is a cosine series, so K commutes with the reflection
+k -> -k wherever the plane-wave set is closed under it.  Hence
+E(-q_b) = E(q_b), and solve_bdg_bands solves each distinct |q_b| once.
+Every zone edge n k_c / 2 folds to q_b = 0 or k_base / 2, where the
+reflection-closed basis k = +-(a + s/2) k_base, a = 0..M (s = 0, 1), splits
+K into an even and an odd block of dimension ~M + 1.  The +-q_n pair is one
+even and one odd state, and within one symmetry block levels do not cross
+as the potential grows (von Neumann & Wigner 1929), so each member of the
+pair is the block eigenvalue at its free level's index: zone_edge_gap
+needs two half-size eigenvalue solves and no eigenvectors.
 """
 
 from __future__ import annotations
@@ -30,7 +41,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .constants import HBAR
+from .condensate import free_kinetic_energy
 from .errors import ContractError, InstabilityError, UnsupportedConfigurationError
 from .species import AtomSpecies
 from .surface import LateralPotential
@@ -99,35 +110,59 @@ class BdgProblem:
         return 2 * self.cutoff + 1
 
 
-def solve_bdg(problem: BdgProblem, return_vectors: bool = False):
-    """Quasiparticle energies E >= 0, ascending; with return_vectors, also the
-    amplitudes stacked as [u; v], one column per energy, zero where E = 0."""
-    m, n_pw = problem.cutoff, problem.dimension
-    momenta = problem.q_bloch + np.arange(-m, m + 1) * problem.k_base
-    t = (HBAR * momenta) ** 2 / (2.0 * problem.species.mass)
-    t_2a = np.diag(t + 2.0 * problem.mu_tilde)
-    for mult, u in problem.potential:
-        if mult <= 2 * m:
-            t_2a -= u * (np.eye(n_pw, k=mult) + np.eye(n_pw, k=-mult))
-    root_t = np.sqrt(t)
-    k = root_t[:, None] * t_2a * root_t[None, :]
-    if return_vectors:
-        squares, w = np.linalg.eigh(k)
-    else:
-        squares = np.linalg.eigvalsh(k)
-    bound = n_pw * np.finfo(float).eps * squares[-1]  # solver backward error
-    if squares[0] < -bound:
+def _negated_couplings(potential, size: int) -> np.ndarray:
+    """-U at each plane-wave offset d < size (a multiple of k_base), 0.0
+    elsewhere: the off-diagonal of T + 2A, looked up by offset."""
+    table = np.zeros(size)
+    for mult, u in potential:
+        if mult < size:
+            table[mult] = -u
+    return table
+
+
+def _energies(squares: np.ndarray, n_pw: int) -> np.ndarray:
+    """E = sqrt(E^2) from eigenvalues of K; an E^2 below the roundoff bound
+    -n_pw eps max E^2 is an instability, one above it and <= the bound is 0."""
+    lowest, highest = squares.min(), squares.max()
+    bound = n_pw * np.finfo(float).eps * highest  # solver backward error
+    if lowest < -bound:
         raise InstabilityError(
-            f"BdG spectrum has a negative E^2 (min/max = {squares[0] / squares[-1]:.4g}, "
-            f"roundoff bound {-bound / squares[-1]:.4g}): background is not TF-stable "
+            f"BdG spectrum has a negative E^2 (min/max = {lowest / highest:.4g}, "
+            f"roundoff bound {-bound / highest:.4g}): background is not TF-stable "
             "or the lateral potential is too large")
-    energies = np.sqrt(np.where(squares > bound, squares, 0.0))
-    if not return_vectors:
-        return energies
-    live = energies > 0.0
-    f = root_t[:, None] * w * live
-    g = np.divide(t_2a @ f, energies, out=np.zeros_like(f), where=live)
-    return energies, np.vstack([(f + g) / 2.0, (f - g) / 2.0])
+    return np.sqrt(np.where(squares > bound, squares, 0.0))
+
+
+def solve_bdg(problem: BdgProblem) -> np.ndarray:
+    """Quasiparticle energies E >= 0, ascending."""
+    m = problem.cutoff
+    n = np.arange(-m, m + 1)
+    t = free_kinetic_energy(problem.q_bloch + n * problem.k_base, problem.species)
+    t_2a = _negated_couplings(problem.potential, 2 * m + 1)[np.abs(n[:, None] - n)]
+    np.fill_diagonal(t_2a, t + 2.0 * problem.mu_tilde)
+    root_t = np.sqrt(t)
+    k = root_t[:, None] * t_2a * root_t
+    return _energies(np.linalg.eigvalsh(k), problem.dimension)
+
+
+def _parity_block_squares(problem: BdgProblem, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues E^2 of the even and the odd block of K on the
+    reflection-closed basis k = +-(a + s/2) k_base, a = 0..M; q_bloch is taken
+    as s k_base / 2.  With (|k_a> +- |-k_a>)/sqrt(2) the blocks are
+    T^1/2 (T + 2 mu - U_|a-b| -+ U_(a+b+s)) T^1/2.  At s = 0 the odd block
+    drops a = 0, and row a = 0 of the even block vanishes with T_0 = 0: the
+    Goldstone zero, so its missing sqrt(2) normalization is immaterial."""
+    m = problem.cutoff
+    a = np.arange(m + 1)
+    t = free_kinetic_energy((a + s / 2.0) * problem.k_base, problem.species)
+    couplings = _negated_couplings(problem.potential, 2 * m + 2)
+    direct = couplings[np.abs(a[:, None] - a)]
+    exchange = couplings[a[:, None] + a + s]
+    np.fill_diagonal(direct, t + 2.0 * problem.mu_tilde)
+    root_t = np.sqrt(t)
+    even = root_t[:, None] * (direct + exchange) * root_t
+    odd = (root_t[:, None] * (direct - exchange) * root_t)[1 - s:, 1 - s:]
+    return np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd)
 
 
 @dataclass(frozen=True)
@@ -157,9 +192,10 @@ def zone_edge_gap(
 ) -> ZoneEdgeGap:
     """Splitting of the pair of quasiparticles at +-n*k_c/2.
 
-    The two positive-energy eigenstates with the largest plane-wave weight
-    on the pair define the gap; for a single fundamental these are simply
-    the two lowest bands at the zone edge.
+    The pair folds to q_b = 0 or k_base/2 and is one even and one odd
+    state of the reflection-closed basis there (module docstring): with
+    |q_n| = (a + s/2) k_base, its levels are index a of the even block and
+    index a - 1 + s of the odd one, the indices of the free levels.
     """
     k_base, coeffs = reduce_to_common_base(pot)
     comp = pot.components[fundamental]
@@ -169,23 +205,18 @@ def zone_edge_gap(
         mu_tilde=mu_tilde, species=species, k_base=k_base,
         potential=tuple(sorted(coeffs.items())), q_bloch=q_b, cutoff=cutoff,
     )
-    m, n_pw = problem.cutoff, problem.dimension
-    slots = []
+    m = problem.cutoff
     for target in (q_n, -q_n):
         j = round((target - q_b) / k_base)
         if abs(j) > m or abs(q_b + j * k_base - target) > 1e-6 * k_base:
             raise UnsupportedConfigurationError(
                 f"cutoff M = {m} does not cover the zone-edge state at {target:.6g} rad/m"
             )
-        slots.append(j + m)
 
-    values, vectors = solve_bdg(problem, return_vectors=True)
-    positive = np.flatnonzero(values > 1e-12 * mu_tilde)
-    weights = np.abs(vectors[:n_pw, positive]) ** 2 + np.abs(vectors[n_pw:, positive]) ** 2
-    weights /= np.sum(weights, axis=0)
-    scores = weights[slots[0], :] + weights[slots[1], :]
-    top_two = positive[np.argsort(scores)[-2:]]
-    e_pair = np.sort(values[top_two])
+    a, s = divmod(round(2.0 * q_n / k_base), 2)
+    even, odd = _parity_block_squares(problem, s)
+    energies = _energies(np.concatenate([even, odd]), problem.dimension)
+    e_pair = np.sort(energies[[a, even.size + a - 1 + s]])
     return ZoneEdgeGap(
         fundamental=fundamental, harmonic=harmonic, q_n=q_n, q_bloch=q_b,
         e_lower=float(e_pair[0]), e_upper=float(e_pair[1]),
@@ -209,6 +240,16 @@ class BdgBands:
     converged: bool | None         # doubling the cutoff moves gaps < 0.1%; None: no gaps
 
 
+def bloch_grid(k_base: float, n: int) -> np.ndarray:
+    """n evenly spaced Bloch momenta from -k_base/2 to k_base/2, mirror-exact
+    (q[n - 1 - i] == -q[i], which a plain linspace is not for most k_base);
+    a single point is the zone edge -k_base/2."""
+    if n == 1:
+        return np.array([-k_base / 2.0])
+    u = np.linspace(-1.0, 1.0, n)
+    return (u - u[::-1]) / 4.0 * k_base
+
+
 def _all_zone_edge_gaps(mu_tilde, species, pot, cutoff):
     return tuple(zone_edge_gap(mu_tilde, species, pot, harmonic=term.harmonic,
                                fundamental=term.fundamental, cutoff=cutoff)
@@ -229,16 +270,19 @@ def solve_bdg_bands(
         raise UnsupportedConfigurationError(f"n_bands must lie in [1, 2M + 1] = "
                                             f"[1, {2 * cutoff + 1}], got {n_bands}")
     k_base, coeffs = reduce_to_common_base(pot)
-    if q_grid is None:
-        q_grid = np.linspace(-k_base / 2.0, k_base / 2.0, 33)
-    q_grid = np.asarray(q_grid, dtype=float)
+    q_grid = bloch_grid(k_base, 33) if q_grid is None else np.asarray(q_grid, dtype=float)
     potential = tuple(sorted(coeffs.items()))
 
-    bands = np.empty((len(q_grid), n_bands))
-    for i, q_b in enumerate(q_grid):
+    # E(-q) = E(q): one solve per distinct |q|, in grid order, so an unstable
+    # grid is refused at the same first momentum as by a per-q loop.
+    distinct, first, inverse = np.unique(np.abs(q_grid), return_index=True,
+                                         return_inverse=True)
+    bands = np.empty((distinct.size, n_bands))
+    for i in np.argsort(first):
         problem = BdgProblem(mu_tilde=mu_tilde, species=species, k_base=k_base,
-                             potential=potential, q_bloch=float(q_b), cutoff=cutoff)
+                             potential=potential, q_bloch=float(distinct[i]), cutoff=cutoff)
         bands[i, :] = solve_bdg(problem)[:n_bands]
+    bands = bands[inverse]
 
     gaps = _all_zone_edge_gaps(mu_tilde, species, pot, cutoff)
 

@@ -142,7 +142,8 @@ def tf_axial_density(
 def free_kinetic_energy(q, species: AtomSpecies):
     """T_q = hbar^2 q^2 / (2m) in J."""
     q_arr = np.asarray(q, dtype=float)
-    t = (HBAR * q_arr) ** 2 / (2.0 * species.mass)
+    hq = HBAR * q_arr
+    t = hq * hq / (2.0 * species.mass)  # one product: a scalar ** 2 calls pow()
     return float(t) if np.isscalar(q) or q_arr.ndim == 0 else t
 
 

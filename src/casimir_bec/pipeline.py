@@ -97,7 +97,7 @@ def _spectrum_stage(config: RunConfig, params, pot):
 def _bdg_stage(config: RunConfig, params, pot):
     gaps, _, sections = _gaps(params, pot)
     k_base, _ = bdg_mod.reduce_to_common_base(pot)
-    q_grid = np.linspace(-k_base / 2.0, k_base / 2.0, config.numerics.bdg_qpoints)
+    q_grid = bdg_mod.bloch_grid(k_base, config.numerics.bdg_qpoints)
     bands = bdg_mod.solve_bdg_bands(
         params.mu_tilde, config.species, pot, q_grid=q_grid,
         cutoff=config.numerics.bdg_cutoff, n_bands=config.numerics.bdg_bands,

@@ -245,14 +245,12 @@ def coupled_mode_gaps(params: Quasi1DParams, pot: LateralPotential) -> CoupledMo
 
     seeds = (hops / 2.0)[_first_seen(hops / 2.0, dedup_tol)]
     cand = np.concatenate([seeds, (seeds[:, None] + hops).ravel()])
-    # E_B and F one momentum at a time: numpy squares a scalar with pow() and
-    # an array with x*x, which differ in the last bit for ~1 momentum in 2000.
-    e = np.array([bogoliubov_dispersion(abs(c), mu, sp) for c in cand.tolist()])
+    e = bogoliubov_dispersion(np.abs(cand), mu, sp)
     in_window = np.flatnonzero(e <= 2.0 * e[:seeds.size].max())  # E_B >= 0: every seed
     basis = in_window[_first_seen(cand[in_window], dedup_tol)]
     basis = basis[np.argsort(cand[basis])]
     momenta = cand[basis]
-    f = np.array([suppression_factor(abs(q), mu, sp) for q in momenta.tolist()])
+    f = suppression_factor(np.abs(momenta), mu, sp)
 
     # math.isclose(..., rel_tol=_K_TOL) elementwise.  A hop |q_i - q_j| = k_f
     # has no absolute floor.  A zone edge |q| = k_f/2 has abs_tol _K_TOL * k_f,

@@ -24,6 +24,7 @@ from casimir_bec import (
 )
 from casimir_bec.bdg import (
     BdgProblem,
+    bloch_grid,
     oracle_compare,
     reduce_to_common_base,
     solve_bdg,
@@ -61,14 +62,49 @@ def _block_bdg(problem):
     return np.block([[t + a, a], [-a, -(t + a)]])
 
 
-def _block_solve(problem, return_vectors=False):
-    """All 2(2M+1) eigenvalues of the block matrix, ascending by real part,
-    optionally with the right eigenvectors stacked as [u; v]."""
-    values, vectors = np.linalg.eig(_block_bdg(problem))
-    order = np.argsort(values.real)
-    if return_vectors:
-        return values.real[order], vectors[:, order]
-    return values.real[order]
+def _block_solve(problem):
+    """All 2(2M+1) eigenvalues of the block matrix, ascending by real part."""
+    return np.sort(np.linalg.eigvals(_block_bdg(problem)).real)
+
+
+# Reference oracle for the zone-edge gap: K on an explicit plane-wave set,
+# diagonalized with eigenvectors, the pair picked by its plane-wave weight.
+
+
+def _vectors_solve(problem, n=None):
+    """Energies E >= 0, ascending, with the amplitudes [u; v] of the plane
+    waves q_bloch + n k_base (default n = -M..M), one column per energy,
+    zero where E = 0."""
+    if n is None:
+        n = np.arange(-problem.cutoff, problem.cutoff + 1)
+    t = (HBAR * (problem.q_bloch + n * problem.k_base)) ** 2 / (2.0 * problem.species.mass)
+    offsets = np.abs(n[:, None] - n[None, :])
+    t_2a = np.diag(t + 2.0 * problem.mu_tilde)
+    for mult, u in problem.potential:
+        t_2a -= u * (offsets == mult)
+    root_t = np.sqrt(t)
+    squares, w = np.linalg.eigh(root_t[:, None] * t_2a * root_t[None, :])
+    bound = problem.dimension * np.finfo(float).eps * squares[-1]
+    assert squares[0] >= -bound
+    energies = np.sqrt(np.where(squares > bound, squares, 0.0))
+    live = energies > 0.0
+    f = root_t[:, None] * w * live
+    g = np.divide(t_2a @ f, energies, out=np.zeros_like(f), where=live)
+    return energies, np.vstack([(f + g) / 2.0, (f - g) / 2.0])
+
+
+def _scored_pair(problem, n, q_n):
+    """(E_lower, E_upper): the two positive-energy states with the largest
+    plane-wave weight on the waves at +-q_n."""
+    energies, vectors = _vectors_solve(problem, n)
+    momenta = problem.q_bloch + n * problem.k_base
+    slots = [int(np.argmin(np.abs(momenta - target))) for target in (q_n, -q_n)]
+    assert np.allclose(momenta[slots], [q_n, -q_n], rtol=0, atol=1e-6 * problem.k_base)
+    positive = np.flatnonzero(energies > 1e-12 * problem.mu_tilde)
+    weights = np.abs(vectors[:n.size, positive]) ** 2 + np.abs(vectors[n.size:, positive]) ** 2
+    weights /= np.sum(weights, axis=0)
+    scores = weights[slots[0], :] + weights[slots[1], :]
+    return np.sort(energies[positive[np.argsort(scores)[-2:]]])
 
 
 def test_homogeneous_limit_exact(params, pot):
@@ -173,7 +209,10 @@ def test_drift_is_null_without_a_coarser_basis(params, pot):
     # The probe cutoff max(4, M - 2) must lie below M and hold every
     # zone-edge pair; M = 4 would compare with itself.
     assert solve_bdg_bands(params.mu_tilde, RB87, pot, cutoff=4).drift_vs_coarser is None
-    assert solve_bdg_bands(params.mu_tilde, RB87, pot, cutoff=5).drift_vs_coarser > 0.0
+    # At M = 5 the probe exists.  The gap is converged to ~1e-12 by M = 3, so
+    # its drift is roundoff (0.0 from the parity blocks), not a measured change.
+    drift = solve_bdg_bands(params.mu_tilde, RB87, pot, cutoff=5).drift_vs_coarser
+    assert isinstance(drift, float) and drift < 1e-12
     # 63/62 fundamentals: M = 30 misses a zone-edge state that M = 32 holds.
     mix_params, mix_pot = mixing_scenario()
     bands = solve_bdg_bands(mix_params.mu_tilde, mix_params.species, mix_pot,
@@ -183,12 +222,13 @@ def test_drift_is_null_without_a_coarser_basis(params, pot):
 
 def test_uncovered_cutoff_refused_before_solving(params, surface):
     # A 9/7 grating pair: M = 4 misses a zone-edge state of the second
-    # fundamental, which the slots show without an eigendecomposition.
+    # fundamental, which the slots show without solving the parity blocks.
     pair = replace(surface, fundamentals=(
         *surface.fundamentals,
         Corrugation(k_c=2.0 * np.pi / 7.583333333333333e-6, amplitudes=(0.5e-6,))))
     lateral = lateral_coefficients(pair, RB87)
-    with mock.patch("casimir_bec.bdg.solve_bdg", side_effect=AssertionError("solved")):
+    with mock.patch("casimir_bec.bdg._parity_block_squares",
+                    side_effect=AssertionError("solved")):
         with pytest.raises(UnsupportedConfigurationError, match="does not cover"):
             zone_edge_gap(params.mu_tilde, RB87, lateral, fundamental=1, cutoff=4)
 
@@ -209,7 +249,8 @@ def test_vectors_map_back_to_bdg_equations(params, pot):
     # (u, v) from the symmetric problem solve the block equations H x = E x.
     for q_b in (0.0, 0.21 * pot.components[0].k_c):
         problem = _problem(params, pot, q_b, cutoff=8)
-        energies, vectors = solve_bdg(problem, return_vectors=True)
+        energies, vectors = _vectors_solve(problem)
+        np.testing.assert_allclose(energies, solve_bdg(problem), rtol=1e-9, atol=0)
         residual = _block_bdg(problem) @ vectors - vectors * energies
         scale = np.max(energies) * np.max(np.abs(vectors))
         assert np.max(np.abs(residual)) < 1e-10 * scale
@@ -257,12 +298,63 @@ def test_symmetric_solver_matches_block_oracle(params, pot, ratio, weights, stre
         new, old = new[1:], old[1:]
     np.testing.assert_allclose(new, old, rtol=1e-8)
 
+    # The parity-block gap against the weight scorer on the same
+    # reflection-closed basis: 2M + 1 waves at q_b = 0, 2M + 2 at k_base/2.
     for fundamental, harmonic in ((0, 1), (0, 2)) + (((1, 1),) if ratio else ()):
-        gap_new = zone_edge_gap(mu, RB87, lateral, harmonic, fundamental, cutoff)
-        with mock.patch("casimir_bec.bdg.solve_bdg", _block_solve):
-            gap_old = zone_edge_gap(mu, RB87, lateral, harmonic, fundamental, cutoff)
-        np.testing.assert_allclose([gap_new.e_lower, gap_new.e_upper],
-                                   [gap_old.e_lower, gap_old.e_upper], rtol=1e-8)
+        gap = zone_edge_gap(mu, RB87, lateral, harmonic, fundamental, cutoff)
+        new = [gap.e_lower, gap.e_upper]
+        s = round(2.0 * gap.q_n / k_base) % 2
+        closed = replace(problem, q_bloch=s * k_base / 2.0)
+        n = np.arange(-cutoff - s, cutoff + 1)
+        np.testing.assert_allclose(new, _scored_pair(closed, n, gap.q_n), rtol=1e-10)
+        if s == 0:  # the closed basis is the plane-wave set n = -M..M at q_bloch
+            at_fold = replace(problem, q_bloch=gap.q_bloch)
+            np.testing.assert_allclose(new, _scored_pair(at_fold, n, gap.q_n), rtol=1e-10)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(k_base=st.floats(min_value=1e3, max_value=1e8), n=st.integers(min_value=1, max_value=257))
+def test_bloch_grid_is_mirror_exact(k_base, n):
+    q = bloch_grid(k_base, n)
+    line = np.linspace(-k_base / 2.0, k_base / 2.0, n)
+    np.testing.assert_allclose(q, line, rtol=0, atol=4e-16 * k_base)
+    assert q[0] == -k_base / 2.0
+    if n > 1:
+        assert np.array_equal(q[::-1], -q) and q[-1] == k_base / 2.0
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    ratio=st.one_of(st.none(), st.sampled_from(_RATIOS)),
+    strength=st.floats(min_value=0.01, max_value=0.5),
+    cutoff=st.integers(min_value=4, max_value=20),
+    fractions=st.lists(st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=0.5)),
+                       min_size=1, max_size=12),
+    signs=st.lists(st.sampled_from((-1.0, 1.0)), min_size=12, max_size=12),
+    mirrored=st.booleans(),
+)
+def test_bands_solved_per_abs_q_match_per_q_solves(params, pot, ratio, strength, cutoff,
+                                                   fractions, signs, mirrored):
+    # One solve per distinct |q| against one solve per grid point, on grids
+    # that are mirror-symmetric (q and -q both present) or not.
+    mu = params.mu_tilde
+    k_c = pot.components[0].k_c
+    comps = [PotentialComponent(k_c=k_c, coefficients=(0.6 * strength * mu,))]
+    if ratio is not None:
+        comps.append(PotentialComponent(k_c=float(ratio) * k_c,
+                                        coefficients=(-0.4 * strength * mu,)))
+    lateral = LateralPotential(components=tuple(comps))
+    k_base, _ = reduce_to_common_base(lateral)
+    q = np.array(fractions) * signs[:len(fractions)] * k_base
+    if mirrored:
+        q = np.concatenate([q, -q[::-1]])
+    bands = solve_bdg_bands(mu, RB87, lateral, q_grid=q, cutoff=cutoff, n_bands=6)
+    per_q = np.array([solve_bdg(_problem(params, lateral, x, cutoff))[:6] for x in q.tolist()])
+    assert np.array_equal(bands.q_grid, q) and bands.bands.shape == per_q.shape
+    centre = q == 0.0  # the Goldstone slot: one exact zero
+    assert np.all(bands.bands[centre, 0] == 0.0) and np.all(bands.bands[centre, 1:] > 0.0)
+    assert np.all(bands.bands[~centre] > 0.0)
+    np.testing.assert_allclose(bands.bands, per_q, rtol=1e-9, atol=0)
 
 
 def test_instability_detected(params, pot):

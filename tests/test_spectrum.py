@@ -379,8 +379,9 @@ def _loop_coupled_mode_gaps(params, pot) -> CoupledModeReport:
     )
 
 
-# The examples hold a basis momentum whose E_B or F differs in the last bit
-# between a scalar and an array evaluation.
+# The examples hold a basis momentum whose E_B or F differed in the last bit
+# between a scalar and an array evaluation while free_kinetic_energy squared
+# a scalar with pow(); they pin the one-product squaring.
 @settings(derandomize=True, max_examples=200, deadline=None)
 @example(k_1="reference", ratio=3.692, u_1=0.024, u_2=0.06)
 @example(k_1="mixing", ratio=3.043, u_1=0.071, u_2=0.014)
