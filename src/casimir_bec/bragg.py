@@ -287,10 +287,13 @@ def _check_support(dsf: DsfSpectrum, tau: float) -> None:
     a kernel of width 1/tau."""
     s = dsf.total
     peak = float(np.max(s))
-    if peak > 0.0 and (s[0] > 1e-12 * peak or s[-1] > 1e-12 * peak):
+    clipped = [end for end, value in (("lower", s[0]), ("upper", s[-1]))
+               if peak > 0.0 and value > 1e-12 * peak]
+    if clipped:
         raise ContractError(
-            "DSF support is clipped by its omega grid; the drive kernel "
-            "integral cannot converge - extend the window"
+            f"DSF support is clipped at the {' and '.join(clipped)} end of its "
+            f"{s.size}-node omega grid, so the drive kernel integral cannot converge; "
+            "a denser or wider omega grid is needed ([numerics] omega_points)"
         )
     step = float(np.max(np.diff(dsf.omega)))
     if step > 1.0 / tau:
@@ -390,8 +393,8 @@ def bragg_signal(pulse: BraggPulse, dsf_pos: DsfSpectrum, n_time: int = 512) -> 
     uniform times the sum at all times is one chirp-z transform, O((n_time
     + n_omega) log) work and memory, with no (times x grid) matrix.  The
     few nodes within 1e-3 / tau of w, where 1/(w - w') would cost digits,
-    are summed directly.  P_X is the cumulative trapezoid of dP_X/dt from
-    P_X(0) = 0.
+    are summed directly.  dP_X/dt(0) = 0 exactly.  P_X is the cumulative
+    trapezoid of dP_X/dt from P_X(0) = 0.
     """
     if n_time < 1:
         raise ContractError(f"n_time must be >= 1, got {n_time!r}")
@@ -403,6 +406,7 @@ def bragg_signal(pulse: BraggPulse, dsf_pos: DsfSpectrum, n_time: int = 512) -> 
         weights = dsf_pos.total * _trapezoid_node_weights(dsf_pos.omega)
         dpdt = (HBAR * pulse.q * pulse.v_b**2 / 2.0) * _sin_sum(
             pulse.omega - dsf_pos.omega, step, times, weights)
+        dpdt[0] = 0.0  # sin(D 0) = 0 exactly; the transform leaves roundoff
     p_x = np.concatenate(([0.0], np.cumsum(0.5 * (dpdt[1:] + dpdt[:-1]) * np.diff(times))))
     return BraggSignal(times=times, dpdt=dpdt, p_x=p_x)
 

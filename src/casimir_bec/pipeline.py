@@ -6,13 +6,13 @@ nothing.  It returns ``(tables, sections)``: each table is ``(file name,
 {column header: 1-D column}, metadata)``, arrays as they are and records
 through ``emit.table``, and sections are top-level ``summary.json`` entries.
 ``run_scenario`` resolves the cloud, the lateral potential and the regime
-report once, runs the stage, appends the density table every run carries,
-and only then writes every table and the summary, so a stage that raises
-leaves no file behind.
+report once, runs the stage, and only then writes its tables and the
+summary, so a stage that raises leaves no file behind.
 """
 
 from __future__ import annotations
 
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -49,13 +49,17 @@ def _probe_dsf(config: RunConfig, params, pot):
     """(q, U matched at q, LDA structure factor) for the probe: explicit q,
     or harmonic * k_c/2."""
     settings = config.bragg
-    if settings.q is not None:
-        q = settings.q
-    else:
-        q = settings.harmonic * pot.components[0].k_c / 2.0
+    q = settings.q if settings.q is not None else settings.harmonic * pot.components[0].k_c / 2.0
     # The first nonzero match, else the last zero one (-0.0 on a flat surface).
     matched = [t.u for t in pot.terms if abs(t.k / 2.0 - q) <= 1e-6 * max(q, t.k_c)]
     u_matched = next((u for u in matched if u != 0.0), matched[-1] if matched else 0.0)
+    if not matched:
+        near = min(pot.terms, key=lambda t: abs(t.k / 2.0 - q))
+        edge = near.k / 2.0
+        warnings.warn(f"probe q = {q * 1e-6:.7g} rad/um matches no Fourier term of the surface; "
+                      f"the nearest zone edge with one, n k_c/2 = {edge * 1e-6:.7g} rad/um "
+                      f"(n = {near.harmonic}), misses it by {abs(q - edge) / edge:.3g} relative, "
+                      "so the DSF is probed with U = 0", stacklevel=2)
     grid = default_lda_grid(params, q, abs(u_matched), n_points=config.numerics.omega_points)
     return q, u_matched, dsf_lda(q, grid, params, u_matched)
 
@@ -64,6 +68,7 @@ def _potential_stage(config: RunConfig, params, pot):
     lam_max = max(c.wavelength for c in config.surface.fundamentals)
     x = np.linspace(0.0, lam_max, 513)
     u_x = lateral_eval(pot, x)
+    x_n, n1 = tf_axial_density(params, pot=None, n_points=config.numerics.density_points)
     return [
         ("potential_coefficients.csv",
          table(["fundamental", "k_c_radpm", "harmonic", "k_radpm", "U_J", "U_over_2pihbar_Hz"],
@@ -72,6 +77,7 @@ def _potential_stage(config: RunConfig, params, pot):
          {"z_cm_m": config.surface.z_cm, "material": config.surface.material}),
         ("potential_profile.csv", {"x_m": x, "x_um": x * 1e6, "U_J": u_x,
                                    "U_over_2pihbar_Hz": energy_to_frequency(u_x)}, {}),
+        ("density_profile.csv", {"x_m": x_n, "x_um": x_n * 1e6, "n1_per_m": n1}, {}),
     ], {}
 
 
@@ -165,13 +171,8 @@ def _bragg_stage(config: RunConfig, params, pot):
     pulse = BraggPulse(q=q, omega=omega, v_b=config.bragg.v_b, tau=tau)
     signal = bragg_signal(pulse, spectrum, n_time=config.numerics.time_points)
     probe = {"q_radpm": q, "omega_radps": omega, "tau_s": tau}
-    # The cloud is at equilibrium: X = 0 zeroes the trap term, and the sine
-    # term vanishes by parity of the density, so the total is the drive.
-    zero = np.zeros_like(signal.times)
     return [
-        ("bragg_signal.csv",
-         {"t_s": signal.times, "dPdt_total": signal.dpdt, "dPdt_drive": signal.dpdt,
-          "dPdt_trap": zero, "dPdt_sine": zero, "P_X": signal.p_x},
+        ("bragg_signal.csv", {"t_s": signal.times, "dPdt": signal.dpdt, "P_X": signal.p_x},
          {**probe, "v_b": config.bragg.v_b}),
     ], {"bragg": {**probe, "peak_dPdt": float(np.max(np.abs(signal.dpdt)))}}
 
@@ -246,8 +247,6 @@ def run_scenario(config: RunConfig, command: str, out_dir) -> dict:
     summary = _summary_base(config, command, params, pot, report)
     tables, sections = STAGES[command][1](config, params, pot)
     summary.update(sections)
-    x, n1 = tf_axial_density(params, pot=None, n_points=config.numerics.density_points)
-    tables.append(("density_profile.csv", {"x_m": x, "x_um": x * 1e6, "n1_per_m": n1}, {}))
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

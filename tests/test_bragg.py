@@ -343,6 +343,7 @@ def test_chirp_z_drive_matches_dense_sinc(n_omega, n_time, step_tau, offset_span
     pulse = BraggPulse(q=3.2e5, omega=omega, v_b=1.0, tau=tau)
     signal = bragg_signal(pulse, dsf, n_time=n_time)
     expected = _dense_drive(pulse, dsf, n_time)
+    assert signal.dpdt[0] == 0.0  # sin(D 0) = 0, with no transform roundoff
     if n_time == 1:
         assert signal.dpdt.tolist() == [0.0] and signal.p_x.tolist() == [0.0]
         return

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,8 @@ from hypothesis import strategies as st
 
 from casimir_bec.cli import main
 from casimir_bec.emit import read_csv
+
+import golden_runs
 
 CONFIG = """
 [trap]
@@ -41,9 +44,9 @@ def config_path(tmp_path):
     return str(path)
 
 
-# The tables each command writes, besides density_profile.csv and summary.json.
+# The tables each command writes, besides summary.json.
 COMMAND_FILES = {
-    "potential": ["potential_coefficients.csv", "potential_profile.csv"],
+    "potential": ["potential_coefficients.csv", "potential_profile.csv", "density_profile.csv"],
     "spectrum": ["gap_table.csv", "band_branches.csv"],
     "bdg": ["bdg_bands.csv", "bdg_gaps.csv", "oracle_compare.csv"],
     "dsf": ["dsf.csv"],
@@ -160,6 +163,42 @@ def test_density_points_honoured(config_path, tmp_path):
     assert len(rows) == 4097
 
 
+def test_clipped_bragg_support_names_its_cure(config_path, tmp_path, capsys):
+    # At 8 omega points the capped resonance bin of the reference surface is
+    # the grid's last node: the refusal says which end and how many nodes.
+    cfg = Path(config_path).read_text().replace("omega_points = 601", "omega_points = 8")
+    cfg_path = tmp_path / "coarse.cfg"
+    cfg_path.write_text(cfg)
+    assert _run("bragg", str(cfg_path), tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert "clipped at the upper end of its 8-node omega grid" in err
+    assert "denser or wider omega grid" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("name, bragg, message", [
+    ("explicit", "", "probe q = 0.3222 rad/um matches no Fourier term of the surface; "
+     "the nearest zone edge with one, n k_c/2 = 0.3222146 rad/um (n = 1), misses it by "
+     "4.54e-05 relative"),
+    ("base", "[bragg]\nharmonic = 2\n", "probe q = 0.6444293 rad/um matches no Fourier term"),
+    ("base", "", None),
+    ("flat", "", None),  # its -0.0 terms still match
+], ids=["explicit", "harmonic2_on_one_harmonic", "base", "flat"])
+def test_unmatched_probe_warns(tmp_path, name, bragg, message):
+    config = tmp_path / "probe.cfg"
+    config.write_text(golden_runs.CONFIGS[name] + "\n" + bragg)
+    for command in ("dsf", "bragg"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert _run(command, str(config), tmp_path / command) == 0
+        probe = [w for w in caught if "Fourier term" in str(w.message)]
+        if message is None:
+            assert probe == []
+        else:
+            assert [w.category for w in probe] == [UserWarning]
+            assert message in str(probe[0].message)
+
+
 def test_dsf_command_single_branch_for_flat_surface(config_path, tmp_path):
     flat = Path(config_path).read_text().replace("h = 1 um", "h = 0 um")
     flat_path = Path(config_path).with_name("flat.cfg")
@@ -178,7 +217,7 @@ def test_all_commands_round_trip_their_tables(config_path, tmp_path):
         out = tmp_path / command
         assert _run(command, config_path, out) == 0
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["files"] == sorted(tables + ["density_profile.csv", "summary.json"])
+        assert summary["files"] == sorted(tables + ["summary.json"])
         assert sorted(p.name for p in out.iterdir()) == summary["files"]
         for name in summary["files"]:
             if name.endswith(".csv"):
