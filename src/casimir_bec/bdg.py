@@ -170,16 +170,12 @@ class ZoneEdgeGap:
     fundamental: int
     harmonic: int
     q_n: float        # rad/m
-    q_bloch: float    # rad/m, folded
+    q_bloch: float    # rad/m, 0 or k_base/2
     e_lower: float    # J
     e_upper: float    # J
     gap: float        # J
     cutoff: int
     mu_tilde: float
-
-
-def _fold(q: float, k_base: float) -> float:
-    return q - round(q / k_base) * k_base
 
 
 def zone_edge_gap(
@@ -198,27 +194,24 @@ def zone_edge_gap(
     index a - 1 + s of the odd one, the indices of the free levels.
     """
     k_base, coeffs = reduce_to_common_base(pot)
-    comp = pot.components[fundamental]
-    q_n = harmonic * comp.k_c / 2.0
-    q_b = _fold(q_n, k_base)
+    q_n = harmonic * pot.components[fundamental].k_c / 2.0
+    steps = 2.0 * q_n / k_base
+    a, s = divmod(round(steps), 2)
     problem = BdgProblem(
         mu_tilde=mu_tilde, species=species, k_base=k_base,
-        potential=tuple(sorted(coeffs.items())), q_bloch=q_b, cutoff=cutoff,
+        potential=tuple(sorted(coeffs.items())), q_bloch=s * k_base / 2.0, cutoff=cutoff,
     )
-    m = problem.cutoff
-    for target in (q_n, -q_n):
-        j = round((target - q_b) / k_base)
-        if abs(j) > m or abs(q_b + j * k_base - target) > 1e-6 * k_base:
-            raise UnsupportedConfigurationError(
-                f"cutoff M = {m} does not cover the zone-edge state at {target:.6g} rad/m"
-            )
-
-    a, s = divmod(round(2.0 * q_n / k_base), 2)
+    # The waves q_bloch + n k_base, n = -M..M, hold +-q_n when a + s <= M and
+    # 2 q_n / k_base is an integer to 1e-6.
+    if a + s > cutoff or abs(steps - round(steps)) > 1e-6:
+        raise UnsupportedConfigurationError(
+            f"cutoff M = {cutoff} does not cover the zone-edge state at {q_n:.6g} rad/m"
+        )
     even, odd = _parity_block_squares(problem, s)
     energies = _energies(np.concatenate([even, odd]), problem.dimension)
     e_pair = np.sort(energies[[a, even.size + a - 1 + s]])
     return ZoneEdgeGap(
-        fundamental=fundamental, harmonic=harmonic, q_n=q_n, q_bloch=q_b,
+        fundamental=fundamental, harmonic=harmonic, q_n=q_n, q_bloch=problem.q_bloch,
         e_lower=float(e_pair[0]), e_upper=float(e_pair[1]),
         gap=float(e_pair[1] - e_pair[0]), cutoff=cutoff, mu_tilde=mu_tilde,
     )

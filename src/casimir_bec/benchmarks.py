@@ -284,9 +284,9 @@ def validate_reference() -> ValidationTable:
         "dsf_homog_weight_dev",
         abs(HBAR * float(np.trapezoid(homog.total, homog.omega)) - n_f) / n_f, 0.005))
 
-    zoom = default_lda_grid(params, q_1, abs(u_1), n_points=4001,
-                            zoom=10.0 * f_q1 * abs(u_1) / HBAR)
-    lda_zoom = dsf_lda(q_1, zoom, params, u_1)
+    zoom = 10.0 * f_q1 * abs(u_1) / HBAR  # half-width around the markers, rad/s
+    window = np.linspace(e_b1 / HBAR - zoom, e_b1 / HBAR + zoom, 4001)
+    lda_zoom = dsf_lda(q_1, window, params, u_1)
     marker_sep = (lda_zoom.omega[lda_zoom.resonance_bins[1]]
                   - lda_zoom.omega[lda_zoom.resonance_bins[0]]) * HBAR
     rows.append(_below("dsf_marker_separation_dev",

@@ -256,20 +256,13 @@ def dsf_lda(q: float, omega_grid, params: Quasi1DParams, u_n: float) -> DsfSpect
     )
 
 
-def default_lda_grid(params, q: float, u_abs: float, n_points: int = 2001,
-                     zoom: float | None = None) -> np.ndarray:
-    """Omega grid covering both LDA branch supports with margin; `zoom`
-    restricts it to a window of that half-width (rad/s) around the
-    divergence markers."""
+def default_lda_grid(params, q: float, u_abs: float, n_points: int = 2001) -> np.ndarray:
+    """Omega grid covering both LDA branch supports with margin."""
     t_q = free_kinetic_energy(q, params.species)
     e_b = bogoliubov_dispersion(q, params.mu_tilde, params.species)
     f_q = suppression_factor(q, params.mu_tilde, params.species)
     lower = max(0.0, (t_q - 0.5 * u_abs) * 0.8) / HBAR
     upper = (e_b + 0.5 * f_q * u_abs) * 1.05 / HBAR
-    if zoom is not None:
-        center = e_b / HBAR
-        lower = center - zoom
-        upper = center + zoom
     return np.linspace(lower, upper, n_points)
 
 

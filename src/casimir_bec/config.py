@@ -26,6 +26,7 @@ or else at its section's header line.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -83,11 +84,9 @@ _SCHEMA: dict[str, dict[str, _Key]] = {
     },
     "surface": {
         "z_cm": _Key("length", required=True),
-        "lambda_c": _Key("length", minimum=0, strict=True),
-        "k_c": _Key("wavenumber"),
-        "h": _Key("length", many=True),
+        "lambda_c": _Key("length", required=True, minimum=0, strict=True),
+        "h": _Key("length", required=True, many=True),
         "lambda_c2": _Key("length", minimum=0, strict=True),
-        "k_c2": _Key("wavenumber"),
         "h2": _Key("length", many=True),
         "eta_f": _Key("number"),
         "response_file": _Key("string"),
@@ -110,10 +109,6 @@ _SCHEMA: dict[str, dict[str, _Key]] = {
         "branch_points": _Key("int", post=int, minimum=2),
     },
 }
-# A [species.<name>] section defines a species and needs every field.
-_CUSTOM_SPECIES = "species.<name>"
-_SCHEMA[_CUSTOM_SPECIES] = {key: spec._replace(required=True)
-                            for key, spec in _SCHEMA["species"].items() if key != "name"}
 
 
 @dataclass(frozen=True)
@@ -122,7 +117,7 @@ class BraggSettings:
     at run time when left unset."""
 
     harmonic: int = 1
-    q: float | None = None       # rad/m; overrides harmonic when set
+    q: float | None = None       # rad/m; a config sets q or harmonic, not both
     omega: float | None = None   # rad/s
     v_b: float = 1.0
     tau: float | None = None     # s
@@ -267,7 +262,7 @@ def parse_config_text(text: str, path: str = "<string>") -> RunConfig:
 
     values: dict[str, dict[str, object]] = {}
     for section, keys in sections.items():
-        schema = _SCHEMA.get(_CUSTOM_SPECIES if section.startswith("species.") else section)
+        schema = _SCHEMA.get(section)
         if schema is None:
             errors.append(f"{path}:{section_lines[section]}: unknown section [{section}]")
             continue
@@ -319,20 +314,8 @@ def _assemble(values, sections, section_lines, path) -> RunConfig:
         except ConfigurationError as exc:
             raise refuse(section, exc) from None
 
-    custom = {}
-    for section, fields in values.items():
-        if section.startswith("species."):
-            custom_name = section.split(".", 1)[1]
-            custom[custom_name] = build(section, AtomSpecies, name=custom_name, **fields)
     sp_v = dict(values.get("species", {}))
-    name = sp_v.pop("name", "rb87")
-    base = custom.get(name.lower())
-    if base is not None and not sp_v:
-        species = base
-    else:
-        if base is not None:
-            sp_v = {**{f: getattr(base, f) for f in _SCHEMA[_CUSTOM_SPECIES]}, **sp_v}
-        species = build("species", species_lookup, name, **sp_v)
+    species = build("species", species_lookup, sp_v.pop("name", "rb87"), **sp_v)
 
     # Only keys the file set are passed on: each default lives in its dataclass.
     # t_bec and t_env are read from [trap] and [surface] but belong to the run.
@@ -343,22 +326,19 @@ def _assemble(values, sections, section_lines, path) -> RunConfig:
     trap_v["atom_number"] = trap_v.pop("atoms")
     trap = build("trap", TrapConfig, **trap_v)
 
-    # A tabulated response replaces the perfect-reflector kernel that eta_f scales.
-    for first, second in (("lambda_c", "k_c"), ("lambda_c2", "k_c2"), ("eta_f", "response_file")):
-        if first in surf_v and second in surf_v:
-            raise refuse("surface", f"give {first} or {second}, not both", first)
-    fundamentals = []
-    for lam_key, k_key, h_key in (("lambda_c", "k_c", "h"), ("lambda_c2", "k_c2", "h2")):
-        if lam_key not in surf_v and k_key not in surf_v:
-            if lam_key == "lambda_c":
-                raise refuse("surface", "needs lambda_c or k_c")
-            if h_key in surf_v:
-                raise refuse("surface", f"{h_key} given without {lam_key} or {k_key}", h_key)
-            continue
-        if h_key not in surf_v:
-            raise refuse("surface", f"missing corrugation amplitudes {h_key}")
-        k_c = surf_v[k_key] if k_key in surf_v else TWO_PI / surf_v[lam_key]
-        fundamentals.append(build("surface", Corrugation, k_c=k_c, amplitudes=tuple(surf_v[h_key])))
+    # One key of each pair: a response table replaces the kernel eta_f scales, q replaces harmonic.
+    for section, first, second in (("surface", "eta_f", "response_file"),
+                                   ("bragg", "harmonic", "q")):
+        if {first, second} <= sections.get(section, {}).keys():
+            raise refuse(section, f"give {first} or {second}, not both", first)
+    if ("lambda_c2" in surf_v) != ("h2" in surf_v):
+        given, missing = ("lambda_c2", "h2") if "lambda_c2" in surf_v else ("h2", "lambda_c2")
+        raise refuse("surface", f"{given} given without {missing}", given)
+    fundamentals = [
+        build("surface", Corrugation, k_c=TWO_PI / surf_v[lam], amplitudes=tuple(surf_v[h]))
+        for lam, h in (("lambda_c", "h"), ("lambda_c2", "h2")) if lam in surf_v]
+    if "response_file" in surf_v:  # a relative table lies next to the config file
+        surf_v["response_file"] = os.path.join(os.path.dirname(path), surf_v["response_file"])
     surface = build(
         "surface", SurfaceConfig,
         fundamentals=tuple(fundamentals),

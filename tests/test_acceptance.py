@@ -162,9 +162,9 @@ def test_criterion_10_dsf_properties(bench):
     n_f = params.trap.atom_number * f_q
     weight_dev = abs(HBAR * float(np.trapezoid(homog.total, homog.omega)) - n_f) / n_f
 
-    zoom = default_lda_grid(params, q_1, abs(u_1), n_points=4001,
-                            zoom=10.0 * f_q * abs(u_1) / HBAR)
-    lda_zoom = dsf_lda(q_1, zoom, params, u_1)
+    zoom = 10.0 * f_q * abs(u_1) / HBAR
+    window = np.linspace(e_b / HBAR - zoom, e_b / HBAR + zoom, 4001)
+    lda_zoom = dsf_lda(q_1, window, params, u_1)
     sep = HBAR * (lda_zoom.omega[lda_zoom.resonance_bins[1]]
                   - lda_zoom.omega[lda_zoom.resonance_bins[0]])
     marker_dev = abs(sep - f_q * abs(u_1)) / (f_q * abs(u_1))

@@ -1,5 +1,6 @@
 """Exact BdG diagonalization: structure, limits, convergence, oracle role."""
 
+import re
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -7,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from casimir_bec import (
@@ -307,9 +308,71 @@ def test_symmetric_solver_matches_block_oracle(params, pot, ratio, weights, stre
         closed = replace(problem, q_bloch=s * k_base / 2.0)
         n = np.arange(-cutoff - s, cutoff + 1)
         np.testing.assert_allclose(new, _scored_pair(closed, n, gap.q_n), rtol=1e-10)
-        if s == 0:  # the closed basis is the plane-wave set n = -M..M at q_bloch
-            at_fold = replace(problem, q_bloch=gap.q_bloch)
-            np.testing.assert_allclose(new, _scored_pair(at_fold, n, gap.q_n), rtol=1e-10)
+        assert gap.q_bloch == closed.q_bloch
+
+
+def _searched_zone_edge(q_n, k_base, m):
+    """Oracle: the search zone_edge_gap made before it read the pair's slots
+    off 2 q_n / k_base.  Fold q_n to q_b, then find +-q_n among the waves
+    q_b + j k_base, |j| <= M, to 1e-6 k_base.  Returns q_b, or None where
+    the basis misses a member of the pair."""
+    q_b = q_n - round(q_n / k_base) * k_base
+    for target in (q_n, -q_n):
+        j = round((target - q_b) / k_base)
+        if abs(j) > m or abs(q_b + j * k_base - target) > 1e-6 * k_base:
+            return None
+    return q_b
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    ratio=st.one_of(st.none(), st.sampled_from(
+        _RATIOS + (Fraction(9, 7), Fraction(63, 62), Fraction(64, 63)))),
+    skew=st.one_of(st.sampled_from((0.0, 0.99e-9, -0.99e-9)),
+                   st.floats(min_value=-0.99e-9, max_value=0.99e-9)),
+    second=st.booleans(),
+    harmonic=st.one_of(st.integers(min_value=1, max_value=3),
+                       st.integers(min_value=4, max_value=40)),
+    slack=st.integers(min_value=-2, max_value=2),
+)
+# 2 q_n / k_base off an integer by 0.92e-6 (held), 1.12e-6 and 2.5e-6 (refused).
+@example(ratio=Fraction(64, 63), skew=0.9e-9, second=True, harmonic=16, slack=0)
+@example(ratio=Fraction(63, 62), skew=0.99e-9, second=True, harmonic=18, slack=0)
+@example(ratio=Fraction(64, 63), skew=-0.99e-9, second=True, harmonic=40, slack=2)
+def test_zone_edge_slots_match_the_basis_search(params, pot, ratio, skew, second, harmonic,
+                                                slack):
+    # The cutoff sits within 2 of the pair's slot a + s, so both refusals are
+    # reached: a cutoff that misses the pair, and, for a ratio skewed inside
+    # the 1e-9 commensurability check at harmonic * p > 1000, a 2 q_n / k_base
+    # that misses an integer.  Only the slots are compared, so the parity
+    # blocks are stubbed with zeros.
+    k_c = pot.components[0].k_c
+    comps = [PotentialComponent(k_c=k_c, coefficients=(1e-3 * params.mu_tilde,))]
+    if ratio is not None:
+        comps.append(PotentialComponent(k_c=float(ratio) * (1.0 + skew) * k_c,
+                                        coefficients=(1e-3 * params.mu_tilde,)))
+    lateral = LateralPotential(components=tuple(comps))
+    fundamental = int(second and ratio is not None)
+    k_base, _ = reduce_to_common_base(lateral)
+    q_n = harmonic * lateral.components[fundamental].k_c / 2.0
+    multiple = ratio.numerator if fundamental else (ratio.denominator if ratio else 1)
+    cutoff = max(1, sum(divmod(harmonic * multiple, 2)) + slack)
+    expected = _searched_zone_edge(q_n, k_base, cutoff)
+
+    def stub(problem, s):
+        return np.zeros(problem.cutoff + 1), np.zeros(problem.cutoff + s)
+
+    with warnings.catch_warnings(), mock.patch("casimir_bec.bdg._parity_block_squares", stub):
+        warnings.simplefilter("ignore", UserWarning)  # cutoffs below the M = 4 floor
+        if expected is None:
+            with pytest.raises(UnsupportedConfigurationError,
+                               match=re.escape(f"M = {cutoff} does not cover the zone-edge "
+                                               f"state at {q_n:.6g} rad/m")):
+                zone_edge_gap(params.mu_tilde, RB87, lateral, harmonic, fundamental, cutoff)
+        else:
+            gap = zone_edge_gap(params.mu_tilde, RB87, lateral, harmonic, fundamental, cutoff)
+            assert gap.q_bloch in (0.0, k_base / 2.0)
+            assert abs(gap.q_bloch - abs(expected)) < 1e-6 * k_base
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)

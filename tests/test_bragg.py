@@ -128,9 +128,9 @@ def test_lda_fig3_style_marker_separation(params):
     assert params.mu_tilde == pytest.approx(mu, rel=5e-3, abs=0)
     f_q1 = suppression_factor(3.222146e5, params.mu_tilde, RB87)
     u = HBAR * 0.11 / f_q1
-    zoom = default_lda_grid(params, 3.222146e5, u, n_points=4001,
-                            zoom=10.0 * f_q1 * u / HBAR)
-    spec = dsf_lda(3.222146e5, zoom, params, u)
+    center = bogoliubov_dispersion(3.222146e5, params.mu_tilde, RB87) / HBAR
+    zoom = 10.0 * f_q1 * u / HBAR
+    spec = dsf_lda(3.222146e5, np.linspace(center - zoom, center + zoom, 4001), params, u)
     measured = HBAR * (spec.omega[spec.resonance_bins[1]] - spec.omega[spec.resonance_bins[0]])
     assert measured == pytest.approx(HBAR * 0.11, rel=0.01, abs=0)
 

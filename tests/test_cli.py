@@ -273,7 +273,17 @@ def test_runtime_error_exit_code(tmp_path, capsys):
     ("atoms = 1e4", "atoms = 1e4\nt_bec = 0 K", "bad.cfg:5: [trap] t_bec: must be > 0"),
     ("h = 1 um", "h = 1 um\neta_f = 0.5\nresponse_file = g.csv",
      "bad.cfg:10: [surface] give eta_f or response_file, not both"),
-], ids=["z_cm", "atoms", "omega_r", "h", "eta_f", "mass", "t_env", "t_bec", "eta_f_and_table"])
+    # One spelling per input: a wavenumber, a species section and a second
+    # probe key are refused, not taken or ignored.
+    ("lambda_c = 9.75 um", "k_c = 0.64 rad/um", "bad.cfg:8: [surface] k_c: unknown key"),
+    ("h = 1 um", "h = 1 um\nlambda_c2 = 7.8 um\nh2 = 0.5 um\nk_c2 = 0.8 rad/um",
+     "bad.cfg:12: [surface] k_c2: unknown key"),
+    ("h = 1 um", "h = 1 um\n[species.cs133]\nmass = 2.207e-25 kg",
+     "bad.cfg:10: unknown section [species.cs133]"),
+    ("h = 1 um", "h = 1 um\n[bragg]\nharmonic = 2\nq = 0.3 rad/um",
+     "bad.cfg:11: [bragg] give harmonic or q, not both"),
+], ids=["z_cm", "atoms", "omega_r", "h", "eta_f", "mass", "t_env", "t_bec", "eta_f_and_table",
+        "k_c", "k_c2", "species_section", "harmonic_and_q"])
 def test_config_refusals_name_their_line(tmp_path, capsys, old, new, where):
     config = tmp_path / "bad.cfg"
     config.write_text(CONFIG.lstrip("\n").replace(old, new))
@@ -363,6 +373,29 @@ def test_tabulated_response_config(config_path, tmp_path):
     assert u_hz == pytest.approx(0.22, rel=0.12)
 
 
+def test_relative_response_file_beside_config(tmp_path, monkeypatch):
+    # A relative response_file is read next to its config, whatever the
+    # working directory.
+    from casimir_bec import RB87, response_perfect
+    from casimir_bec.emit import table as emit_table
+    from casimir_bec.emit import write_csv
+
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    k_c = 2.0 * 3.141592653589793 / 9.75e-6
+    write_csv(run_dir / "g.csv", emit_table(
+        ["k_radpm", "z_m", "g_Jpm"],
+        [[k * k_c, z * 1e-6, response_perfect(k * k_c, z * 1e-6, RB87)]
+         for k in (0.2, 1.0, 3.0) for z in (1.0, 3.0, 5.0)]))
+    (run_dir / "tab.cfg").write_text(CONFIG.replace(
+        "lambda_c = 9.75 um", "lambda_c = 9.75 um\nresponse_file = g.csv"))
+    for cwd, config in ((run_dir, "tab.cfg"), (tmp_path, "run/tab.cfg")):
+        monkeypatch.chdir(cwd)
+        assert _run("potential", config, tmp_path / f"out-{cwd.name}") == 0
+    assert ((tmp_path / "out-run" / "potential_coefficients.csv").read_bytes()
+            == (tmp_path / f"out-{tmp_path.name}" / "potential_coefficients.csv").read_bytes())
+
+
 # Per fuzzed key: (unit, in-range values, edge or out-of-range values).
 _FUZZ_KEYS = {
     ("trap", "omega_r"): ("kHz", st.floats(0.5, 10.0), st.sampled_from([0.0, -2.7])),
@@ -401,6 +434,8 @@ def _fuzz_configs(draw):
     for i, ((section, key), (unit, good, bad)) in enumerate(_FUZZ_KEYS.items()):
         if i != hostile and key not in _FUZZ_REQUIRED and not draw(st.booleans()):
             continue
+        if key == "q" and i != hostile and "bragg" in sections:
+            continue  # a config gives harmonic (the first [bragg] key) or q, not both
         value = draw(bad if i == hostile else good)
         sections.setdefault(section, []).append(f"{key} = {value} {unit}")
     if draw(st.booleans()):

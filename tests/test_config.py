@@ -73,6 +73,11 @@ h = 1 um
     message = str(err.value)
     assert "omega_x" in message and "atoms" in message and "z_cm" in message
     assert "t.cfg" in message
+    # The corrugation keys are required like any other, and reported with them.
+    with pytest.raises(ConfigurationError) as err:
+        parse_config_text(text.replace("lambda_c = 9.75 um\nh = 1 um\n", ""), path="t.cfg")
+    assert "t.cfg:5: [surface] missing keys: h, lambda_c, z_cm" in str(err.value)
+    assert "omega_x" in str(err.value)
 
 
 def test_unit_mismatch_named():
@@ -135,20 +140,26 @@ def test_amplitude_list_and_second_fundamental():
     assert cfg.surface.fundamentals[1].k_c == pytest.approx(2.0 * math.pi / 3.25e-6, rel=1e-12)
 
 
-def test_k_c_and_lambda_c_exclusive():
-    text = GOOD.replace("lambda_c = 9.75 um", "lambda_c = 9.75 um\nk_c = 1 rad/um")
-    with pytest.raises(ConfigurationError, match="not both"):
+def test_harmonic_and_q_exclusive():
+    # An explicit q replaces harmonic * k_c/2; a harmonic next to it would be ignored.
+    text = GOOD.replace("harmonic = 1", "harmonic = 1\nq = 0.3 rad/um")
+    with pytest.raises(ConfigurationError, match=r":19: \[bragg\] give harmonic or q, not both"):
         parse_config_text(text)
 
 
+def test_second_fundamental_needs_both_keys():
+    for added, where in (("lambda_c2 = 3.25 um", r":15: \[surface\] lambda_c2 given without h2"),
+                         ("h2 = 0.5 um", r":15: \[surface\] h2 given without lambda_c2")):
+        with pytest.raises(ConfigurationError, match=where):
+            parse_config_text(GOOD.replace("h = 1 um", "h = 1 um\n" + added))
+
+
 def test_custom_species_section():
-    text = GOOD.replace("name = rb87", "name = cs133") + """
-[species.cs133]
+    text = GOOD.replace("name = rb87", """name = cs133
 mass = 2.207e-25 kg
 scattering_length = 1.5 nm
 polarizability_volume = 59.4e-30 m^3
-transition_wavelength = 852 nm
-"""
+transition_wavelength = 852 nm""")
     cfg = parse_config_text(text)
     assert cfg.species.name == "cs133"
     assert cfg.species.mass == 2.207e-25
@@ -162,9 +173,12 @@ def test_species_override_in_main_section():
 
 
 def test_incomplete_custom_species():
-    text = GOOD + "\n[species.x42]\nmass = 1e-25 kg\n"
-    with pytest.raises(ConfigurationError, match="missing keys"):
-        parse_config_text(text)
+    # An unregistered name must bring every field; the refusal names the missing ones.
+    text = GOOD.replace("name = rb87", "name = x42\nmass = 1e-25 kg")
+    with pytest.raises(ConfigurationError,
+                       match=r"t\.cfg:2: \[species\] unknown species 'x42'; supply "
+                             r"polarizability_volume, scattering_length, transition_wavelength"):
+        parse_config_text(text, path="t.cfg")
 
 
 def test_duplicate_key_rejected():
