@@ -22,7 +22,6 @@ from .bragg import (
     bragg_signal,
     dsf_homogeneous,
     dsf_lda,
-    invert_gap,
     local_spectrum,
 )
 from .condensate import (
@@ -37,7 +36,7 @@ from .condensate import (
     tf_axial_density,
 )
 from .config import RunConfig, parse_config, parse_config_text
-from .constants import CONST, Constants, energy_to_frequency, frequency_to_energy
+from .constants import energy_to_frequency, frequency_to_energy
 from .errors import (
     CasimirBecError,
     ConfigurationError,
@@ -54,8 +53,6 @@ from .spectrum import (
     GapReport,
     band_branches,
     coupled_mode_gaps,
-    gap_high_density,
-    min_resolvable_separation,
     multibranch_dispersion,
     perturbative_gaps,
     suppression_factor,

@@ -174,8 +174,6 @@ class ZoneEdgeGap:
     e_lower: float    # J
     e_upper: float    # J
     gap: float        # J
-    cutoff: int
-    mu_tilde: float
 
 
 def zone_edge_gap(
@@ -194,16 +192,17 @@ def zone_edge_gap(
     index a - 1 + s of the odd one, the indices of the free levels.
     """
     k_base, coeffs = reduce_to_common_base(pot)
-    q_n = harmonic * pot.components[fundamental].k_c / 2.0
-    steps = 2.0 * q_n / k_base
-    a, s = divmod(round(steps), 2)
+    k_c = pot.components[fundamental].k_c
+    q_n = harmonic * k_c / 2.0
+    # The pair's slot 2 q_n / k_base on the commensurate lattice: k_c / k_base
+    # is the integer r or p of reduce_to_common_base to within 1e-9.
+    a, s = divmod(harmonic * round(k_c / k_base), 2)
     problem = BdgProblem(
         mu_tilde=mu_tilde, species=species, k_base=k_base,
         potential=tuple(sorted(coeffs.items())), q_bloch=s * k_base / 2.0, cutoff=cutoff,
     )
-    # The waves q_bloch + n k_base, n = -M..M, hold +-q_n when a + s <= M and
-    # 2 q_n / k_base is an integer to 1e-6.
-    if a + s > cutoff or abs(steps - round(steps)) > 1e-6:
+    # The waves q_bloch + n k_base, n = -M..M, hold +-q_n when a + s <= M.
+    if a + s > cutoff:
         raise UnsupportedConfigurationError(
             f"cutoff M = {cutoff} does not cover the zone-edge state at {q_n:.6g} rad/m"
         )
@@ -213,7 +212,7 @@ def zone_edge_gap(
     return ZoneEdgeGap(
         fundamental=fundamental, harmonic=harmonic, q_n=q_n, q_bloch=problem.q_bloch,
         e_lower=float(e_pair[0]), e_upper=float(e_pair[1]),
-        gap=float(e_pair[1] - e_pair[0]), cutoff=cutoff, mu_tilde=mu_tilde,
+        gap=float(e_pair[1] - e_pair[0]),
     )
 
 

@@ -402,16 +402,3 @@ def bragg_signal(pulse: BraggPulse, dsf_pos: DsfSpectrum, n_time: int = 512) -> 
         dpdt[0] = 0.0  # sin(D 0) = 0 exactly; the transform leaves roundoff
     p_x = np.concatenate(([0.0], np.cumsum(0.5 * (dpdt[1:] + dpdt[:-1]) * np.diff(times))))
     return BraggSignal(times=times, dpdt=dpdt, p_x=p_x)
-
-
-def invert_gap(measured_gap: float, q_n: float, params: Quasi1DParams) -> float:
-    """|U_n| = gap / F(q_n): read a Casimir Fourier coefficient off a
-    measured gap.  Exact algebraic inverse of the perturbative gap."""
-    if measured_gap < 0.0:
-        raise PhysicsDomainError(f"measured gap must be >= 0, got {measured_gap!r}")
-    if q_n == 0.0:
-        raise PhysicsDomainError("q_n = 0 has zero suppression factor; gap is not invertible")
-    f_q = suppression_factor(q_n, params.mu_tilde, params.species)
-    if f_q <= 0.0:
-        raise PhysicsDomainError(f"suppression factor vanishes at q_n = {q_n!r}")
-    return measured_gap / f_q

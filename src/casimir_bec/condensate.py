@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import C, HBAR, K_B, energy_to_frequency
+from .constants import C, HBAR, K_B
 from .errors import ConfigurationError, PhysicsDomainError
 from .species import AtomSpecies
-from .surface import LateralPotential, SurfaceConfig, lateral_eval
+from .surface import SurfaceConfig
 
 DENSITY_POINTS_DEFAULT = 2049
 
@@ -111,30 +111,13 @@ def derive_quasi1d(trap: TrapConfig, species: AtomSpecies) -> Quasi1DParams:
 
 def tf_axial_density(
     params: Quasi1DParams,
-    pot: LateralPotential | None = None,
     n_points: int = DENSITY_POINTS_DEFAULT,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sampled axial TF density on [-l/2, l/2].
-
-    With a lateral potential the local density is
-    n1(x) = max(0, mu_tilde*(1 - (2x/l)^2) - U_L(x)) / g_eff; pot=None gives
-    the pure parabola used by every LDA consumer.
-    """
+    """Sampled axial TF density on [-l/2, l/2]: the parabola
+    n1(x) = max(0, mu_tilde*(1 - (2x/l)^2)) / g_eff used by every LDA consumer."""
     half = params.half_length
     x = np.linspace(-half, half, n_points)
     envelope = params.mu_tilde * (1.0 - (x / half) ** 2)
-    if pot is not None:
-        u_lateral = lateral_eval(pot, x)
-        if np.max(u_lateral) >= params.mu_tilde:
-            worst = max(pot.terms, key=lambda term: abs(term.u))
-            raise PhysicsDomainError(
-                "TF positivity violated: lateral potential reaches "
-                f"{np.max(u_lateral):.4g} J ({energy_to_frequency(np.max(u_lateral)):.4g} Hz), "
-                f"largest coefficient |U_{worst.harmonic}| = {abs(worst.u):.4g} J "
-                f"at k_c = {worst.k_c:.4g} rad/m, "
-                f"but mu_tilde = {params.mu_tilde:.4g} J"
-            )
-        envelope = envelope - u_lateral
     n1 = np.maximum(0.0, envelope) / params.g_eff
     return x, n1
 

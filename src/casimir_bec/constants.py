@@ -9,25 +9,12 @@ convention used for every benchmark number in this package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
-class Constants:
-    """SI constants; c and k_B are exact by definition, hbar and eps0 are
-    the CODATA 2018 recommended values to the digits stored."""
-
-    hbar: float = 1.054_571_817e-34   # J s
-    c: float = 299_792_458.0          # m / s
-    k_B: float = 1.380_649e-23        # J / K
-    eps0: float = 8.854_187_8128e-12  # F / m
-
-
-CONST = Constants()
-
-HBAR = CONST.hbar
-C = CONST.c
-K_B = CONST.k_B
+# SI constants: c and k_B are exact by definition, hbar is the CODATA 2018
+# recommended value to the digits stored.
+HBAR = 1.054_571_817e-34  # J s
+C = 299_792_458.0         # m / s
+K_B = 1.380_649e-23       # J / K
 
 TWO_PI = 2.0 * math.pi
 

@@ -68,7 +68,7 @@ def _potential_stage(config: RunConfig, params, pot):
     lam_max = max(c.wavelength for c in config.surface.fundamentals)
     x = np.linspace(0.0, lam_max, 513)
     u_x = lateral_eval(pot, x)
-    x_n, n1 = tf_axial_density(params, pot=None, n_points=config.numerics.density_points)
+    x_n, n1 = tf_axial_density(params, n_points=config.numerics.density_points)
     return [
         ("potential_coefficients.csv",
          table(["fundamental", "k_c_radpm", "harmonic", "k_radpm", "U_J", "U_over_2pihbar_Hz"],

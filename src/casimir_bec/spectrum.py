@@ -116,8 +116,8 @@ def two_state_coupling(q1, q2, u_n: float, mu_tilde: float, species: AtomSpecies
 def band_branches(
     params: Quasi1DParams,
     pot: LateralPotential,
+    detunings,
     harmonic: int = 1,
-    detunings=None,
     fundamental: int = 0,
 ) -> BranchSlice:
     """Branches E+-(q_n + eps) from the degenerate two-state block.
@@ -130,8 +130,6 @@ def band_branches(
         raise PhysicsDomainError(f"harmonic {harmonic} not present in the potential")
     u_n = comp.coefficients[harmonic - 1]
     q_n = harmonic * comp.k_c / 2.0
-    if detunings is None:
-        detunings = np.linspace(-comp.k_c / 4.0, comp.k_c / 4.0, 129)
     eps = np.asarray(detunings, dtype=float)
     if np.any(np.abs(eps) > comp.k_c / 4.0 * (1.0 + 1e-12)):
         raise PhysicsDomainError("detuning outside |eps| <= k_c/4")
@@ -145,26 +143,6 @@ def band_branches(
     gap = abs(u_n) * suppression_factor(q_n, mu, sp)
     return BranchSlice(harmonic=harmonic, q_n=q_n, detunings=eps,
                        e_minus=mean - split, e_plus=mean + split, gap=gap)
-
-
-def gap_high_density(mu: float, omega_r: float, k_c: float, u_n: float,
-                     species: AtomSpecies) -> float:
-    """Gap in the high-density (radial TF) regime:
-    (3*hbar*omega_r / 4*mu) * (k_c*R/2) * |u_n|, R = sqrt(2*mu/(m*omega_r^2)).
-
-    These gaps shrink with density; the regime is a dead end for Bragg
-    detection and is provided for completeness of the trade-off analysis.
-    """
-    if not mu > 0.0:
-        raise PhysicsDomainError(f"chemical potential must be > 0, got {mu!r}")
-    if mu / (HBAR * omega_r) < 5.0:
-        warnings.warn(
-            f"mu/(hbar*omega_r) = {mu / (HBAR * omega_r):.3g} < 5: high-density "
-            "formula assumes radial TF",
-            stacklevel=2,
-        )
-    radius = math.sqrt(2.0 * mu / (species.mass * omega_r**2))
-    return (3.0 * HBAR * omega_r / (4.0 * mu)) * (k_c * radius / 2.0) * abs(u_n)
 
 
 def multibranch_dispersion(n: int, q: float, mu: float, omega_r: float,
@@ -186,26 +164,12 @@ def multibranch_dispersion(n: int, q: float, mu: float, omega_r: float,
     )
 
 
-def min_resolvable_separation(k_c: float, u: float, e0: float) -> float:
-    """dk_min ~ k_c * U/E0: fundamentals closer than this mix."""
-    if not e0 > 0.0:
-        raise PhysicsDomainError(f"reference energy must be > 0, got {e0!r}")
-    return k_c * abs(u) / e0
-
-# Operationalizes ">> dk_min": separations beyond this factor count as
-# independent two-state problems.
-MIXING_SEPARATION_FACTOR = 10.0
-
-
 @dataclass(frozen=True)
 class CoupledModeReport:
     momenta: tuple[float, ...]          # rad/m, basis states of the block
     splittings: tuple[float, float]     # J, per fundamental
     independent_gaps: tuple[float, float]  # J, isolated 2x2 results
     deviations: tuple[float, float]     # relative, splitting/independent - 1
-    dk_min: float                       # rad/m
-    separation_over_dk_min: float
-    mixing_regime: bool
 
 
 def _first_seen(values: np.ndarray, abs_tol: float) -> list[int]:
@@ -239,7 +203,7 @@ def coupled_mode_gaps(params: Quasi1DParams, pot: LateralPotential) -> CoupledMo
 
     mu, sp = params.mu_tilde, params.species
     couplings = tuple((comp.k_c, comp.coefficients[0]) for comp in pot.components)
-    (k1, u1), (k2, _) = couplings
+    (k1, _), (k2, _) = couplings
     hops = np.array([k1, -k1, k2, -k2])
     dedup_tol = _K_TOL * max(k1, k2)
 
@@ -270,17 +234,9 @@ def coupled_mode_gaps(params: Quasi1DParams, pot: LateralPotential) -> CoupledMo
     deviations = tuple(
         s / g - 1.0 if g > 0.0 else 0.0 for s, g in zip(splittings, independent)
     )
-
-    e1 = bogoliubov_dispersion(k1 / 2.0, mu, sp)
-    dk_min = min_resolvable_separation(k1, abs(u1), e1)
-    separation = abs(k1 - k2)
-    sep_ratio = separation / dk_min if dk_min > 0.0 else math.inf
     return CoupledModeReport(
         momenta=tuple(momenta.tolist()),
         splittings=tuple(splittings),
         independent_gaps=tuple(independent),
         deviations=deviations,
-        dk_min=dk_min,
-        separation_over_dk_min=sep_ratio,
-        mixing_regime=sep_ratio < MIXING_SEPARATION_FACTOR,
     )

@@ -313,9 +313,9 @@ def test_symmetric_solver_matches_block_oracle(params, pot, ratio, weights, stre
 
 def _searched_zone_edge(q_n, k_base, m):
     """Oracle: the search zone_edge_gap made before it read the pair's slots
-    off 2 q_n / k_base.  Fold q_n to q_b, then find +-q_n among the waves
-    q_b + j k_base, |j| <= M, to 1e-6 k_base.  Returns q_b, or None where
-    the basis misses a member of the pair."""
+    off the integer multiples of k_base.  Fold q_n to q_b, then find +-q_n
+    among the waves q_b + j k_base, |j| <= M, to 1e-6 k_base.  Returns q_b,
+    or None where the basis misses a member of the pair."""
     q_b = q_n - round(q_n / k_base) * k_base
     for target in (q_n, -q_n):
         j = round((target - q_b) / k_base)
@@ -335,17 +335,19 @@ def _searched_zone_edge(q_n, k_base, m):
                        st.integers(min_value=4, max_value=40)),
     slack=st.integers(min_value=-2, max_value=2),
 )
-# 2 q_n / k_base off an integer by 0.92e-6 (held), 1.12e-6 and 2.5e-6 (refused).
+# 2 q_n / k_base off an integer by 0.92e-6 (found by the search), 1.12e-6 and
+# 2.5e-6 (missed by the search, solved at the integer slot).
 @example(ratio=Fraction(64, 63), skew=0.9e-9, second=True, harmonic=16, slack=0)
 @example(ratio=Fraction(63, 62), skew=0.99e-9, second=True, harmonic=18, slack=0)
 @example(ratio=Fraction(64, 63), skew=-0.99e-9, second=True, harmonic=40, slack=2)
 def test_zone_edge_slots_match_the_basis_search(params, pot, ratio, skew, second, harmonic,
                                                 slack):
-    # The cutoff sits within 2 of the pair's slot a + s, so both refusals are
-    # reached: a cutoff that misses the pair, and, for a ratio skewed inside
-    # the 1e-9 commensurability check at harmonic * p > 1000, a 2 q_n / k_base
-    # that misses an integer.  Only the slots are compared, so the parity
-    # blocks are stubbed with zeros.
+    # The cutoff sits within 2 of the pair's slot a + s, so a cutoff that
+    # misses the pair is reached and refused.  A ratio skewed inside the 1e-9
+    # commensurability check at harmonic * p > 1000 puts 2 q_n / k_base off an
+    # integer by more than the search's 1e-6; the pair is still solved, on
+    # the commensurate lattice at slot harmonic * p.  Only the slots are
+    # compared, so the parity blocks are stubbed with zeros.
     k_c = pot.components[0].k_c
     comps = [PotentialComponent(k_c=k_c, coefficients=(1e-3 * params.mu_tilde,))]
     if ratio is not None:
@@ -356,7 +358,8 @@ def test_zone_edge_slots_match_the_basis_search(params, pot, ratio, skew, second
     k_base, _ = reduce_to_common_base(lateral)
     q_n = harmonic * lateral.components[fundamental].k_c / 2.0
     multiple = ratio.numerator if fundamental else (ratio.denominator if ratio else 1)
-    cutoff = max(1, sum(divmod(harmonic * multiple, 2)) + slack)
+    a, s = divmod(harmonic * multiple, 2)
+    cutoff = max(1, a + s + slack)
     expected = _searched_zone_edge(q_n, k_base, cutoff)
 
     def stub(problem, s):
@@ -364,15 +367,39 @@ def test_zone_edge_slots_match_the_basis_search(params, pot, ratio, skew, second
 
     with warnings.catch_warnings(), mock.patch("casimir_bec.bdg._parity_block_squares", stub):
         warnings.simplefilter("ignore", UserWarning)  # cutoffs below the M = 4 floor
-        if expected is None:
+        if a + s > cutoff:
+            assert expected is None
             with pytest.raises(UnsupportedConfigurationError,
                                match=re.escape(f"M = {cutoff} does not cover the zone-edge "
                                                f"state at {q_n:.6g} rad/m")):
                 zone_edge_gap(params.mu_tilde, RB87, lateral, harmonic, fundamental, cutoff)
         else:
             gap = zone_edge_gap(params.mu_tilde, RB87, lateral, harmonic, fundamental, cutoff)
-            assert gap.q_bloch in (0.0, k_base / 2.0)
-            assert abs(gap.q_bloch - abs(expected)) < 1e-6 * k_base
+            assert gap.q_bloch == s * k_base / 2.0
+            if expected is not None:
+                assert abs(gap.q_bloch - abs(expected)) < 1e-6 * k_base
+
+
+def test_off_integer_zone_edge_solves_on_the_commensurate_lattice(params, pot):
+    # 64/63 skewed by -0.99e-9, inside the commensurability check: harmonic
+    # 40 of the second fundamental has 2 q_n / k_base = 2560 - 2.5e-6, which
+    # misses an integer by more than the basis search's 1e-6.  The pair sits
+    # at slot 2560 of the commensurate lattice (a = 1280, s = 0), so at
+    # M = 1280 the weight scorer finds it on the same 2M + 1 waves.  A 40th
+    # harmonic coefficient opens the gap at first order.
+    k_c, u = pot.components[0].k_c, 1e-3 * params.mu_tilde
+    lateral = LateralPotential(components=(
+        PotentialComponent(k_c=k_c, coefficients=(u,)),
+        PotentialComponent(k_c=64.0 / 63.0 * (1.0 - 0.99e-9) * k_c,
+                           coefficients=(u,) + (0.0,) * 38 + (u,)),
+    ))
+    gap = zone_edge_gap(params.mu_tilde, RB87, lateral, harmonic=40, fundamental=1,
+                        cutoff=1280)
+    k_base, _ = reduce_to_common_base(lateral)
+    oracle = _scored_pair(_problem(params, lateral, 0.0, 1280), np.arange(-1280, 1281),
+                          1280 * k_base)
+    np.testing.assert_allclose([gap.e_lower, gap.e_upper], oracle, rtol=1e-10)
+    assert gap.gap > 0.0 and gap.q_bloch == 0.0
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -509,8 +536,7 @@ def test_oracle_compare_failed_row_reported_not_thrown(params, pot):
     gaps = perturbative_gaps(params, pot)
     entry = gaps.entry()
     fake = ZoneEdgeGap(fundamental=0, harmonic=1, q_n=entry.q_n, q_bloch=entry.q_n,
-                       e_lower=0.0, e_upper=3.0 * entry.gap, gap=3.0 * entry.gap,
-                       cutoff=16, mu_tilde=params.mu_tilde)
+                       e_lower=0.0, e_upper=3.0 * entry.gap, gap=3.0 * entry.gap)
     bands = BdgBands(q_grid=np.array([entry.q_n]), bands=np.zeros((1, 1)),
                      zone_edge_gaps=(fake,), k_base=2.0 * entry.q_n, cutoff=16,
                      mu_tilde=params.mu_tilde, drift_vs_coarser=0.0, converged=None)

@@ -21,11 +21,7 @@ from casimir_bec import (
     dsf_homogeneous,
     dsf_lda,
     free_kinetic_energy,
-    frequency_to_energy,
-    invert_gap,
-    lateral_coefficients,
     local_spectrum,
-    perturbative_gaps,
     suppression_factor,
 )
 from casimir_bec.benchmarks import (
@@ -467,39 +463,3 @@ def test_pulse_validation(q_1, dsf_ref):
     with pytest.raises(ContractError, match="n_time"):
         bragg_signal(BraggPulse(q=q_1, omega=1.0, v_b=1.0, tau=1.0), dsf_ref, n_time=0)
 
-
-# --- gap inversion -----------------------------------------------------------
-
-
-def test_invert_gap_round_trip(params, pot, q_1):
-    gaps = perturbative_gaps(params, pot)
-    u_back = invert_gap(gaps.entry().gap, q_1, params)
-    assert u_back == pytest.approx(abs(pot.components[0].coefficients[0]), rel=1e-10, abs=0)
-
-
-@settings(max_examples=30)
-@given(st.floats(min_value=1e-40, max_value=1e-32))
-def test_invert_gap_linear(gap):
-    from casimir_bec.benchmarks import benchmark_params
-
-    params = benchmark_params()
-    q_n = 3.2e5
-    u = invert_gap(gap, q_n, params)
-    f_q = suppression_factor(q_n, params.mu_tilde, RB87)
-    assert u * f_q == pytest.approx(gap, rel=1e-12, abs=0)
-
-
-def test_invert_gap_near_surface_consistency(params, near_surface):
-    # reference 3.98 Hz gap maps back to the computed Fourier coefficient
-    pot = lateral_coefficients(near_surface, RB87)
-    q_fn3 = near_surface.fundamentals[0].k_c / 2.0
-    u_back = invert_gap(frequency_to_energy(3.98), q_fn3, params)
-    assert u_back == pytest.approx(abs(pot.components[0].coefficients[0]), rel=0.10, abs=0)
-
-
-def test_invert_gap_edge_cases(params, q_1):
-    assert invert_gap(0.0, q_1, params) == 0.0
-    with pytest.raises(PhysicsDomainError):
-        invert_gap(1e-35, 0.0, params)
-    with pytest.raises(PhysicsDomainError):
-        invert_gap(-1e-35, q_1, params)

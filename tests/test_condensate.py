@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 
 from casimir_bec import (
     RB87,
-    LateralPotential,
     PhysicsDomainError,
-    PotentialComponent,
     TrapConfig,
     bogoliubov_dispersion,
     coherence_length,
@@ -101,39 +99,6 @@ def test_tf_normalization(params):
     x, n1 = tf_axial_density(params, n_points=2**14)
     n_integral = float(np.trapezoid(n1, x))
     assert n_integral == pytest.approx(params.trap.atom_number, rel=1e-3)
-
-
-def test_tf_anticorrelation_with_potential(params):
-    from casimir_bec import lateral_eval
-
-    positive = LateralPotential(components=(PotentialComponent(
-        k_c=6.4e5, coefficients=(frequency_to_energy(0.3),)),))
-    x, n_mod = tf_axial_density(params, pot=positive)
-    _, n_plain = tf_axial_density(params)
-    u_x = lateral_eval(positive, x)
-    inside = n_plain > 10.0 * np.max(np.abs(u_x)) / params.g_eff
-    # the modulation is exactly -U(x)/g_eff on top of the envelope
-    np.testing.assert_allclose((n_mod - n_plain)[inside], -u_x[inside] / params.g_eff,
-                               rtol=1e-8, atol=1e-12 * np.max(n_plain))
-    corr = np.corrcoef(u_x[inside], (n_mod - n_plain)[inside])[0, 1]
-    assert corr < -0.999
-
-
-def test_tf_positivity_violation(params):
-    huge = LateralPotential(components=(PotentialComponent(
-        k_c=6.4e5, coefficients=(2.0 * params.mu_tilde,)),))
-    with pytest.raises(PhysicsDomainError, match="TF positivity"):
-        tf_axial_density(params, pot=huge)
-
-
-def test_tf_positivity_names_the_largest_term(params):
-    pot = LateralPotential(components=(
-        PotentialComponent(k_c=6.4e5, coefficients=(0.5 * params.mu_tilde,)),
-        PotentialComponent(k_c=3.2e5, coefficients=(0.0, -2.0 * params.mu_tilde)),
-    ))
-    with pytest.raises(PhysicsDomainError,
-                       match=r"largest coefficient \|U_2\| = .* J at k_c = 3\.2e\+05 rad/m"):
-        tf_axial_density(params, pot=pot)
 
 
 # --- dispersion -------------------------------------------------------------

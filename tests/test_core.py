@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 import casimir_bec
 from casimir_bec import (
-    CONST,
     RB87,
     BdgProblem,
     ConfigurationError,
@@ -24,13 +23,13 @@ from casimir_bec import (
     frequency_to_energy,
     species_lookup,
 )
+from casimir_bec.constants import C, HBAR, K_B
 
 
 def test_constants_match_reference_values():
-    assert CONST.hbar == pytest.approx(scipy.constants.hbar, rel=1e-9, abs=0)
-    assert CONST.c == scipy.constants.c
-    assert CONST.k_B == scipy.constants.k
-    assert CONST.eps0 == pytest.approx(scipy.constants.epsilon_0, rel=1e-9, abs=0)
+    assert HBAR == pytest.approx(scipy.constants.hbar, rel=1e-9, abs=0)
+    assert C == scipy.constants.c
+    assert K_B == scipy.constants.k
 
 
 def test_runtime_imports_leave_scipy_out():
@@ -48,7 +47,7 @@ def test_runtime_imports_leave_scipy_out():
 
 def test_energy_frequency_definition():
     assert energy_to_frequency(0.0) == 0.0
-    e = 2.0 * math.pi * CONST.hbar * 77.0
+    e = 2.0 * math.pi * HBAR * 77.0
     assert energy_to_frequency(e) == pytest.approx(77.0, rel=1e-14, abs=0)
 
 

@@ -19,9 +19,7 @@ from casimir_bec import (
     coupled_mode_gaps,
     energy_to_frequency,
     frequency_to_energy,
-    gap_high_density,
     lateral_coefficients,
-    min_resolvable_separation,
     multibranch_dispersion,
     perturbative_gaps,
     sound_speed,
@@ -31,7 +29,6 @@ from casimir_bec.benchmarks import mixing_scenario, separated_scenario
 from casimir_bec.constants import HBAR
 from casimir_bec.spectrum import (
     _K_TOL,
-    MIXING_SEPARATION_FACTOR,
     CoupledModeReport,
     two_state_coupling,
 )
@@ -120,10 +117,10 @@ def test_branches_unperturbed_crossing(params, pot):
 
 
 def test_branches_ordering_and_linearity(params, pot):
-    slice_full = band_branches(params, pot)
+    k_c = pot.components[0].k_c
+    slice_full = band_branches(params, pot, detunings=np.linspace(-k_c / 4.0, k_c / 4.0, 129))
     assert np.all(slice_full.e_minus <= slice_full.e_plus)
     # gap scales linearly under U -> U/2, U/4
-    k_c = pot.components[0].k_c
     u = pot.components[0].coefficients[0]
     gap_1 = perturbative_gaps(params, pot).entry().gap
     for s in (0.5, 0.25):
@@ -180,30 +177,7 @@ def test_branches_detuning_domain(params, pot):
         band_branches(params, pot, detunings=np.array([0.3 * k_c]))
 
 
-# --- high-density and multibranch --------------------------------------------
-
-
-def test_gap_high_density_substitution():
-    mu = 100.0 * HBAR * 2.0 * math.pi * 2700.0
-    omega_r = 2.0 * math.pi * 2700.0
-    radius = math.sqrt(2.0 * mu / (RB87.mass * omega_r**2))
-    k_c = 2.0 / radius  # makes k_c R = 2
-    u = frequency_to_energy(0.2)
-    assert gap_high_density(mu, omega_r, k_c, u, RB87) == pytest.approx(
-        (3.0 / 400.0) * u, rel=1e-12, abs=0)
-    assert gap_high_density(mu, omega_r, k_c, 2 * u, RB87) == pytest.approx(
-        2.0 * gap_high_density(mu, omega_r, k_c, u, RB87), rel=1e-14, abs=0)
-
-
-def test_gap_high_density_triple_factor_oracle(params):
-    # independent recomputation of (3 hbar wr / 4 mu) * (kc R / 2) * U
-    omega_r = params.trap.omega_r
-    mu = 50.0 * HBAR * omega_r
-    k_c = 6.4e5
-    u = frequency_to_energy(0.22)
-    radius = math.sqrt(2.0 * mu / (RB87.mass * omega_r**2))
-    expected = 3.0 * HBAR * omega_r * k_c * radius * u / (8.0 * mu)
-    assert gap_high_density(mu, omega_r, k_c, u, RB87) == pytest.approx(expected, rel=1e-12, abs=0)
+# --- multibranch -------------------------------------------------------------
 
 
 def test_multibranch_values(params):
@@ -222,25 +196,22 @@ def test_multibranch_sound_speed_ratio(params):
     assert ratio == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-3)
 
 
-def test_min_resolvable_separation(params, pot, q_1):
-    assert min_resolvable_separation(1e6, 0.0, 1e-30) == 0.0
-    assert min_resolvable_separation(1e6, 1e-31, 1e-30) == pytest.approx(1e5, rel=1e-12)
-    u_1 = abs(pot.components[0].coefficients[0])
-    e_b = bogoliubov_dispersion(q_1, params.mu_tilde, RB87)
-    dk = min_resolvable_separation(2.0 * q_1, u_1, e_b)
-    assert dk / (2.0 * q_1) == pytest.approx(0.003, rel=0.05)
-    with pytest.raises(PhysicsDomainError):
-        min_resolvable_separation(1e6, 1e-31, 0.0)
-
-
 # --- coupled fundamentals -----------------------------------------------------
+
+
+def _separation_in_mixing_widths(params, pot):
+    """|k_c1 - k_c2| in units of k_c1 |U_1| / E_B(k_c1 / 2); the fundamentals
+    mix below 10."""
+    k1, k2 = (comp.k_c for comp in pot.components)
+    e1 = bogoliubov_dispersion(k1 / 2.0, params.mu_tilde, params.species)
+    return abs(k1 - k2) / (k1 * abs(pot.components[0].coefficients[0]) / e1)
 
 
 def test_coupled_well_separated():
     params, pot = separated_scenario()
     report = coupled_mode_gaps(params, pot)
     assert len(report.momenta) == 6
-    assert not report.mixing_regime
+    assert _separation_in_mixing_widths(params, pot) >= 10.0
     for dev in report.deviations:
         assert abs(dev) < 0.01
 
@@ -280,8 +251,7 @@ def test_coupled_mixing_onset():
         warnings.simplefilter("ignore")
         params, pot = mixing_scenario()
         report = coupled_mode_gaps(params, pot)
-    assert report.separation_over_dk_min == pytest.approx(0.1, rel=1e-9)
-    assert report.mixing_regime
+    assert _separation_in_mixing_widths(params, pot) == pytest.approx(0.1, rel=1e-9)
     assert abs(report.deviations[0]) > 0.10
     assert abs(report.deviations[1]) > 0.10
 
@@ -363,19 +333,11 @@ def _loop_coupled_mode_gaps(params, pot) -> CoupledModeReport:
     deviations = tuple(
         s / g - 1.0 if g > 0.0 else 0.0 for s, g in zip(splittings, independent)
     )
-
-    e1 = bogoliubov_dispersion(k1 / 2.0, mu, sp)
-    dk_min = min_resolvable_separation(k1, abs(u1), e1)
-    separation = abs(k1 - k2)
-    sep_ratio = separation / dk_min if dk_min > 0.0 else math.inf
     return CoupledModeReport(
         momenta=tuple(momenta),
         splittings=splittings,
         independent_gaps=independent,
         deviations=deviations,
-        dk_min=dk_min,
-        separation_over_dk_min=sep_ratio,
-        mixing_regime=sep_ratio < MIXING_SEPARATION_FACTOR,
     )
 
 
