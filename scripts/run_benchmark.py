@@ -53,9 +53,9 @@ def main() -> None:
           % (energy_to_frequency(entry.gap), energy_to_frequency(e_b)))
 
     print("\nregime checks:")
-    for check in regime_check(params, surface).checks:
+    for row in regime_check(params, surface):
         print("  %-24s %-5s value = %.4g (threshold %.4g)"
-              % (check.name, check.status, check.value, check.threshold))
+              % (row["check"], row["status"], row["value"], row["threshold"]))
 
     if args.out is not None:
         out = Path(args.out)

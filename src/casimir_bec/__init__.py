@@ -48,7 +48,6 @@ from .errors import (
 )
 from .species import RB87, AtomSpecies, species_lookup
 from .spectrum import (
-    BranchSlice,
     GapEntry,
     GapReport,
     band_branches,

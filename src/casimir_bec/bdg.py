@@ -170,7 +170,6 @@ class ZoneEdgeGap:
     fundamental: int
     harmonic: int
     q_n: float        # rad/m
-    q_bloch: float    # rad/m, 0 or k_base/2
     e_lower: float    # J
     e_upper: float    # J
     gap: float        # J
@@ -182,7 +181,8 @@ def zone_edge_gap(
     pot: LateralPotential,
     harmonic: int = 1,
     fundamental: int = 0,
-    cutoff: int = 16,
+    *,
+    cutoff: int,
 ) -> ZoneEdgeGap:
     """Splitting of the pair of quasiparticles at +-n*k_c/2.
 
@@ -209,11 +209,9 @@ def zone_edge_gap(
     even, odd = _parity_block_squares(problem, s)
     energies = _energies(np.concatenate([even, odd]), problem.dimension)
     e_pair = np.sort(energies[[a, even.size + a - 1 + s]])
-    return ZoneEdgeGap(
-        fundamental=fundamental, harmonic=harmonic, q_n=q_n, q_bloch=problem.q_bloch,
-        e_lower=float(e_pair[0]), e_upper=float(e_pair[1]),
-        gap=float(e_pair[1] - e_pair[0]),
-    )
+    return ZoneEdgeGap(fundamental=fundamental, harmonic=harmonic, q_n=q_n,
+                       e_lower=float(e_pair[0]), e_upper=float(e_pair[1]),
+                       gap=float(e_pair[1] - e_pair[0]))
 
 
 @dataclass(frozen=True)
@@ -252,17 +250,18 @@ def solve_bdg_bands(
     mu_tilde: float,
     species: AtomSpecies,
     pot: LateralPotential,
-    q_grid=None,
-    cutoff: int = 16,
-    n_bands: int = 8,
+    q_grid,
+    cutoff: int,
+    n_bands: int,
 ) -> BdgBands:
-    """Bands over the first Brillouin zone of the common period, with
-    zone-edge gap estimates and cutoff-convergence metadata."""
+    """Bands at the Bloch momenta q_grid (the bdg command's is
+    bloch_grid(k_base, bdg_qpoints)), with zone-edge gap estimates and
+    cutoff-convergence metadata."""
     if not 1 <= n_bands <= 2 * cutoff + 1:
         raise UnsupportedConfigurationError(f"n_bands must lie in [1, 2M + 1] = "
                                             f"[1, {2 * cutoff + 1}], got {n_bands}")
     k_base, coeffs = reduce_to_common_base(pot)
-    q_grid = bloch_grid(k_base, 33) if q_grid is None else np.asarray(q_grid, dtype=float)
+    q_grid = np.asarray(q_grid, dtype=float)
     potential = tuple(sorted(coeffs.items()))
 
     # E(-q) = E(q): one solve per distinct |q|, in grid order, so an unstable

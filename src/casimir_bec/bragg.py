@@ -95,7 +95,6 @@ class DsfSpectrum:
     analytic inverse-square-root tail under the capped resonance bin.
     """
 
-    q: float
     omega: np.ndarray            # rad/s
     s_minus: np.ndarray          # arbitrary units (1/J)
     s_plus: np.ndarray
@@ -142,7 +141,7 @@ def dsf_homogeneous(q: float, omega_grid, params: Quasi1DParams) -> DsfSpectrum:
     s = np.zeros_like(omega)
     s[i_res] = weight / (HBAR * _trapezoid_node_weights(omega)[i_res])
     return DsfSpectrum(
-        q=q, omega=omega, s_minus=s, s_plus=np.zeros_like(omega),
+        omega=omega, s_minus=s, s_plus=np.zeros_like(omega),
         resonance_bins=(i_res,), supports=((e_b, e_b),), branch_weights=(weight,),
         kind="homogeneous",
     )
@@ -251,12 +250,12 @@ def dsf_lda(q: float, omega_grid, params: Quasi1DParams, u_n: float) -> DsfSpect
     samples, bins, supports, weights = zip(*(_sample_branch(q, params, u_abs, sign, omega)
                                              for sign in signs))
     return DsfSpectrum(
-        q=q, omega=omega, s_minus=samples[0], s_plus=samples[1] if u_abs else np.zeros_like(omega),
+        omega=omega, s_minus=samples[0], s_plus=samples[1] if u_abs else np.zeros_like(omega),
         resonance_bins=bins, supports=supports, branch_weights=weights, kind="lda",
     )
 
 
-def default_lda_grid(params, q: float, u_abs: float, n_points: int = 2001) -> np.ndarray:
+def default_lda_grid(params, q: float, u_abs: float, n_points: int) -> np.ndarray:
     """Omega grid covering both LDA branch supports with margin."""
     t_q = free_kinetic_energy(q, params.species)
     e_b = bogoliubov_dispersion(q, params.mu_tilde, params.species)
@@ -372,7 +371,7 @@ def _sin_sum(detuning: np.ndarray, step: float, times: np.ndarray,
     return total + (np.exp(1j * detuning[c] * times) * chirp[:m].conj() * conv).imag
 
 
-def bragg_signal(pulse: BraggPulse, dsf_pos: DsfSpectrum, n_time: int = 512) -> BraggSignal:
+def bragg_signal(pulse: BraggPulse, dsf_pos: DsfSpectrum, n_time: int) -> BraggSignal:
     """dP_X/dt and P_X at n_time uniform times over the pulse.
 
     At equilibrium and zero temperature dP_X/dt is the drive term alone

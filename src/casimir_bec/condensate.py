@@ -27,8 +27,6 @@ from .errors import ConfigurationError, PhysicsDomainError
 from .species import AtomSpecies
 from .surface import SurfaceConfig
 
-DENSITY_POINTS_DEFAULT = 2049
-
 # "much smaller than" thresholds for the warn-only regime diagnostics.
 RATIO_SMALL = 0.1
 THERMAL_APPROACH = 0.25
@@ -109,10 +107,7 @@ def derive_quasi1d(trap: TrapConfig, species: AtomSpecies) -> Quasi1DParams:
     )
 
 
-def tf_axial_density(
-    params: Quasi1DParams,
-    n_points: int = DENSITY_POINTS_DEFAULT,
-) -> tuple[np.ndarray, np.ndarray]:
+def tf_axial_density(params: Quasi1DParams, n_points: int) -> tuple[np.ndarray, np.ndarray]:
     """Sampled axial TF density on [-l/2, l/2]: the parabola
     n1(x) = max(0, mu_tilde*(1 - (2x/l)^2)) / g_eff used by every LDA consumer."""
     half = params.half_length
@@ -162,34 +157,14 @@ def thermal_wavelength(t_env: float) -> float:
     return HBAR * C / (K_B * t_env)
 
 
-@dataclass(frozen=True)
-class RegimeCheck:
-    name: str
-    value: float
-    threshold: float
-    status: str  # "pass" | "warn"
-    note: str
-
-
-@dataclass(frozen=True)
-class RegimeReport:
-    checks: tuple[RegimeCheck, ...]
-
-    def to_rows(self) -> list[dict]:
-        return [
-            {"check": c.name, "value": c.value, "threshold": c.threshold,
-             "status": c.status, "note": c.note}
-            for c in self.checks
-        ]
-
-
 def regime_check(
     params: Quasi1DParams,
     surface: SurfaceConfig,
     t_env: float = 300.0,
     t_bec: float = 1e-9,
-) -> RegimeReport:
-    """Warn-only diagnostics of every approximation in the pipeline.
+) -> list[dict]:
+    """Warn-only diagnostics of every approximation in the pipeline, as the
+    ``regime`` rows of summary.json: check, value, threshold, status, note.
 
     The interesting setups all sit near a validity border, so nothing here
     raises; each check reports value vs threshold with pass/warn.
@@ -198,8 +173,8 @@ def regime_check(
     checks = []
 
     def add(name, value, threshold, ok, note):
-        checks.append(RegimeCheck(name=name, value=float(value), threshold=float(threshold),
-                                  status="pass" if ok else "warn", note=note))
+        checks.append({"check": name, "value": float(value), "threshold": float(threshold),
+                       "status": "pass" if ok else "warn", "note": note})
 
     ratio = params.mu_tilde / (8.0 * HBAR * params.trap.omega_r)
     add("quasi1d", ratio, RATIO_SMALL, ratio < RATIO_SMALL,
@@ -238,4 +213,4 @@ def regime_check(
     add("coherence_period", l_phi / lam_c_max, 1.0, l_phi >= lam_c_max,
         "L_phi / lambda_c; coherence across one corrugation period suffices")
 
-    return RegimeReport(checks=tuple(checks))
+    return checks

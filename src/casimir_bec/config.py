@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .constants import TWO_PI, frequency_to_energy
-from .condensate import DENSITY_POINTS_DEFAULT, TrapConfig
+from .condensate import TrapConfig
 from .errors import ConfigurationError
 from .species import AtomSpecies, species_lookup
 from .surface import Corrugation, SurfaceConfig
@@ -125,7 +125,7 @@ class BraggSettings:
 
 @dataclass(frozen=True)
 class Numerics:
-    density_points: int = DENSITY_POINTS_DEFAULT
+    density_points: int = 2049
     bdg_cutoff: int = 16
     bdg_bands: int = 8
     bdg_qpoints: int = 33

@@ -6,7 +6,7 @@ nothing.  It returns ``(tables, sections)``: each table is ``(file name,
 {column header: 1-D column}, metadata)``, arrays as they are and records
 through ``emit.table``, and sections are top-level ``summary.json`` entries.
 ``run_scenario`` resolves the cloud, the lateral potential and the regime
-report once, runs the stage, and only then writes its tables and the
+checks once, runs the stage, and only then writes its tables and the
 summary, so a stage that raises leaves no file behind.
 """
 
@@ -85,16 +85,16 @@ def _spectrum_stage(config: RunConfig, params, pot):
     gaps, gap_rows, sections = _gaps(params, pot)
     n, entries = config.numerics.branch_points, gaps.entries
     # One slice per gap, stacked: n rows each, in gap order.
-    slices = [band_branches(params, pot, harmonic=e.harmonic, fundamental=e.fundamental,
-                            detunings=np.linspace(-e.k_c / 4.0, e.k_c / 4.0, n))
-              for e in entries]
-    e_minus, e_plus = np.ravel([s.e_minus for s in slices]), np.ravel([s.e_plus for s in slices])
+    detunings = [np.linspace(-e.k_c / 4.0, e.k_c / 4.0, n) for e in entries]
+    slices = [band_branches(params, pot, eps, harmonic=e.harmonic, fundamental=e.fundamental)
+              for e, eps in zip(entries, detunings)]
+    e_minus, e_plus = np.ravel([s[0] for s in slices]), np.ravel([s[1] for s in slices])
     return [
         ("gap_table.csv", table(_GAP_COLUMNS, gap_rows), {}),
         ("band_branches.csv", {
             "fundamental": np.repeat([e.fundamental for e in entries], n),
             "harmonic": np.repeat([e.harmonic for e in entries], n),
-            "q_radpm": np.ravel([e.q_n + s.detunings for e, s in zip(entries, slices)]),
+            "q_radpm": np.ravel([e.q_n + eps for e, eps in zip(entries, detunings)]),
             "E_minus_J": e_minus, "E_plus_J": e_plus, "E_minus_Hz": energy_to_frequency(e_minus),
             "E_plus_Hz": energy_to_frequency(e_plus)}, {}),
     ], sections
@@ -186,7 +186,7 @@ STAGES = {
 }
 
 
-def _summary_base(config: RunConfig, command: str, params, pot, report):
+def _summary_base(config: RunConfig, command: str, params, pot, regime):
     sp = config.species
     return {
         "command": command,
@@ -230,7 +230,7 @@ def _summary_base(config: RunConfig, command: str, params, pot, report):
              "U_J": t.u, "U_over_2pihbar_Hz": energy_to_frequency(t.u)}
             for t in pot.terms
         ],
-        "regime": report.to_rows(),
+        "regime": regime,
     }
 
 
@@ -243,8 +243,8 @@ def run_scenario(config: RunConfig, command: str, out_dir) -> dict:
     if config.surface.response_file is not None:
         response = load_tabulated_response(config.surface.response_file)
     pot = lateral_coefficients(config.surface, config.species, response)
-    report = regime_check(params, config.surface, t_env=config.t_env, t_bec=config.t_bec)
-    summary = _summary_base(config, command, params, pot, report)
+    regime = regime_check(params, config.surface, t_env=config.t_env, t_bec=config.t_bec)
+    summary = _summary_base(config, command, params, pot, regime)
     tables, sections = STAGES[command][1](config, params, pot)
     summary.update(sections)
 

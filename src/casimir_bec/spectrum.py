@@ -94,16 +94,6 @@ def perturbative_gaps(params: Quasi1DParams, pot: LateralPotential) -> GapReport
     return GapReport(mu_tilde=params.mu_tilde, entries=tuple(entries))
 
 
-@dataclass(frozen=True)
-class BranchSlice:
-    harmonic: int
-    q_n: float
-    detunings: np.ndarray  # rad/m, relative to the zone edge
-    e_minus: np.ndarray    # J
-    e_plus: np.ndarray     # J
-    gap: float             # J, splitting at zero detuning
-
-
 def two_state_coupling(q1, q2, u_n: float, mu_tilde: float, species: AtomSpecies):
     """Off-diagonal element between Bogoliubov states q1 and q2 coupled by a
     potential coefficient u_n: -(u_n/2) * sqrt(F(|q1|) F(|q2|)).  q1 and q2
@@ -119,8 +109,8 @@ def band_branches(
     detunings,
     harmonic: int = 1,
     fundamental: int = 0,
-) -> BranchSlice:
-    """Branches E+-(q_n + eps) from the degenerate two-state block.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Branches (E-, E+)(q_n + eps) in J from the degenerate two-state block.
 
     Reported only for |eps| <= k_c/4, the neighborhood where the two-state
     reduction makes sense.
@@ -140,9 +130,7 @@ def band_branches(
     d2 = bogoliubov_dispersion(np.abs(q2), mu, sp)
     c = two_state_coupling(q1, q2, u_n, mu, sp)
     mean, split = 0.5 * (d1 + d2), np.hypot(0.5 * (d1 - d2), c)
-    gap = abs(u_n) * suppression_factor(q_n, mu, sp)
-    return BranchSlice(harmonic=harmonic, q_n=q_n, detunings=eps,
-                       e_minus=mean - split, e_plus=mean + split, gap=gap)
+    return mean - split, mean + split
 
 
 def multibranch_dispersion(n: int, q: float, mu: float, omega_r: float,
@@ -166,8 +154,6 @@ def multibranch_dispersion(n: int, q: float, mu: float, omega_r: float,
 
 @dataclass(frozen=True)
 class CoupledModeReport:
-    momenta: tuple[float, ...]          # rad/m, basis states of the block
-    splittings: tuple[float, float]     # J, per fundamental
     independent_gaps: tuple[float, float]  # J, isolated 2x2 results
     deviations: tuple[float, float]     # relative, splitting/independent - 1
 
@@ -234,9 +220,4 @@ def coupled_mode_gaps(params: Quasi1DParams, pot: LateralPotential) -> CoupledMo
     deviations = tuple(
         s / g - 1.0 if g > 0.0 else 0.0 for s, g in zip(splittings, independent)
     )
-    return CoupledModeReport(
-        momenta=tuple(momenta.tolist()),
-        splittings=tuple(splittings),
-        independent_gaps=tuple(independent),
-        deviations=deviations,
-    )
+    return CoupledModeReport(independent_gaps=tuple(independent), deviations=deviations)

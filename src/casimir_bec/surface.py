@@ -25,6 +25,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import partial
+from itertools import combinations, product
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -78,6 +79,20 @@ class SurfaceConfig:
                 f"give eta_f or response_file, not both (eta_f = {self.eta_f!r})")
         if len(self.fundamentals) == 0:
             raise ConfigurationError("surface needs at least one corrugation fundamental")
+        # Each zone edge is matched to one Fourier term (gap table, DSF probe),
+        # so two nonzero terms at one wavenumber (to 1e-9 relative, as in
+        # bdg.reduce_to_common_base) would each be read as the whole term.
+        names = ["lambda_c"] + [f"lambda_c{f}" for f in range(2, len(self.fundamentals) + 1)]
+        for (a, first), (b, second) in combinations(zip(names, self.fundamentals), 2):
+            for (i, h_i), (j, h_j) in product(enumerate(first.amplitudes, start=1),
+                                              enumerate(second.amplitudes, start=1)):
+                k = i * first.k_c
+                if h_i > 0.0 and h_j > 0.0 and abs(k - j * second.k_c) <= 1e-9 * k:
+                    raise ConfigurationError(
+                        f"harmonic {i} of {a} (h = {h_i:.4g} m) and harmonic {j} of {b} "
+                        f"(h = {h_j:.4g} m) share the wavenumber {k:.7g} rad/m, so each would "
+                        f"be read as the whole term; give it once, as harmonic {i} of {a} "
+                        "with the amplitudes added")
         h_max = max(max(c.amplitudes) for c in self.fundamentals)
         scale = min(min(c.wavelength for c in self.fundamentals), self.z_cm)
         if h_max > 0.0 and h_max >= scale:

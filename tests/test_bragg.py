@@ -301,7 +301,7 @@ def _random_spectrum(omega, seed):
     s[0] = s[-1] = 0.0
     s[omega.size // 2] = 1.0
     return bragg.DsfSpectrum(
-        q=1.0, omega=omega, s_minus=s, s_plus=np.zeros_like(omega), resonance_bins=(0,),
+        omega=omega, s_minus=s, s_plus=np.zeros_like(omega), resonance_bins=(0,),
         supports=((HBAR * omega[0], HBAR * omega[-1]),), branch_weights=(1.0,), kind="lda")
 
 

@@ -293,6 +293,25 @@ def test_config_refusals_name_their_line(tmp_path, capsys, old, new, where):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("h, second, where", [
+    ("1", "lambda_c2 = 9.75 um\nh2 = 0.5 um",
+     "harmonic 1 of lambda_c (h = 1e-06 m) and harmonic 1 of lambda_c2 (h = 5e-07 m)"),
+    ("1, 0.5", "lambda_c2 = 4.875 um\nh2 = 0.5 um",
+     "harmonic 2 of lambda_c (h = 5e-07 m) and harmonic 1 of lambda_c2 (h = 5e-07 m)"),
+], ids=["same_period", "second_harmonic"])
+def test_two_terms_at_one_wavenumber_refused(tmp_path, capsys, h, second, where):
+    # Each would be matched as the whole term at that zone edge: the gap table
+    # and the DSF probe would read U_1 alone, and the BdG oracle U_1 + U_2.
+    config = tmp_path / "bad.cfg"
+    config.write_text(CONFIG.lstrip("\n").replace("h = 1 um", f"h = {h} um\n{second}"))
+    for command in COMMAND_FILES:
+        assert _run(command, str(config), tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert f"bad.cfg:6: [surface] {where} share the wavenumber" in err
+        assert f"as harmonic {where.split()[1]} of lambda_c with the amplitudes added" in err
+        assert not (tmp_path / "o").exists()
+
+
 def test_missing_response_file_refused(config_path, tmp_path, capsys):
     missing = tmp_path / "nowhere" / "r.csv"
     cfg = Path(config_path).read_text().replace(

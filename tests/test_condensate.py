@@ -21,6 +21,7 @@ from casimir_bec import (
 )
 from casimir_bec.benchmarks import benchmark_trap
 from casimir_bec.condensate import thermal_wavelength
+from casimir_bec.config import Numerics
 from casimir_bec.constants import HBAR
 
 
@@ -90,7 +91,7 @@ def test_trap_validation():
 
 
 def test_tf_peak_density(params):
-    x, n1 = tf_axial_density(params)
+    x, n1 = tf_axial_density(params, n_points=Numerics.density_points)
     assert n1[len(x) // 2] == pytest.approx(params.mu_tilde / params.g_eff, rel=1e-6)
     assert n1[0] == 0.0 and n1[-1] == 0.0
 
@@ -152,17 +153,17 @@ def test_dispersion_rejects_negative_mu():
 
 
 def test_regime_benchmark_values(params, surface):
-    report = regime_check(params, surface, t_env=300.0, t_bec=1e-9)
-    by_name = {c.name: c for c in report.checks}
-    assert by_name["quasi1d"].value == pytest.approx(0.023, rel=0.05)
-    assert by_name["quasi1d"].status == "pass"
-    assert by_name["axial_tf"].value == pytest.approx(0.012, rel=0.05)
-    assert by_name["axial_tf"].status == "pass"
+    by_name = {row["check"]: row for row in regime_check(params, surface, t_env=300.0,
+                                                         t_bec=1e-9)}
+    assert by_name["quasi1d"]["value"] == pytest.approx(0.023, rel=0.05)
+    assert by_name["quasi1d"]["status"] == "pass"
+    assert by_name["axial_tf"]["value"] == pytest.approx(0.012, rel=0.05)
+    assert by_name["axial_tf"]["status"] == "pass"
     # z_cm = 3 um against lambda_T(300 K) ~ 7.6 um: approaching thermal
     lam_t = thermal_wavelength(300.0)
     assert lam_t == pytest.approx(7.63e-6, rel=1e-2)
-    assert by_name["thermal_photons"].status == "warn"
-    assert by_name["single_harmonic"].value == pytest.approx(1.93, rel=0.01)
+    assert by_name["thermal_photons"]["status"] == "warn"
+    assert by_name["single_harmonic"]["value"] == pytest.approx(1.93, rel=0.01)
 
 
 def test_coherence_length_crossover(params):
@@ -185,7 +186,7 @@ def test_coherence_scaling(params):
 
 def test_coherence_period_reported_separately(params, surface):
     # weaker sufficient condition: coherence across one corrugation period
-    report = regime_check(params, surface, t_env=300.0, t_bec=5e-9)
-    by_name = {c.name: c for c in report.checks}
-    assert by_name["coherence_full_cloud"].status == "warn"
-    assert by_name["coherence_period"].status == "pass"
+    by_name = {row["check"]: row for row in regime_check(params, surface, t_env=300.0,
+                                                         t_bec=5e-9)}
+    assert by_name["coherence_full_cloud"]["status"] == "warn"
+    assert by_name["coherence_period"]["status"] == "pass"

@@ -27,3 +27,31 @@ def test_every_export_is_read_outside_the_tests():
         if not any(word.search(line) and not definition.match(line) for line in lines):
             unread.append(name)
     assert unread == []
+
+
+def _record_fields() -> list[tuple[str, str, str]]:
+    """(module, record, field) for every field of a dataclass or NamedTuple
+    defined in the package."""
+    fields = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            marks = [ast.unparse(d) for d in node.decorator_list + node.bases]
+            if not any(m.startswith("dataclass") or m == "NamedTuple" for m in marks):
+                continue
+            fields += [(path.stem, node.name, item.target.id) for item in node.body
+                       if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+    return fields
+
+
+def test_every_record_field_is_read_outside_the_tests():
+    """Every field of a dataclass or NamedTuple in the package is read as
+    `.field` somewhere in src/, scripts/ or the README.  The scan goes by
+    name alone, so a field that shares its name with another read passes:
+    any record's `q` would, through `pulse.q`."""
+    readers = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+    text = "\n".join(p.read_text(encoding="utf-8") for p in readers + [ROOT / "README.md"])
+    unread = [f"{module}.{record}.{field}" for module, record, field in _record_fields()
+              if not re.search(rf"\.{field}\b", text)]
+    assert unread == []

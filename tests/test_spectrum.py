@@ -93,11 +93,11 @@ def test_gap_warns_when_large(params, pot):
 
 
 def test_branches_at_zone_edge(params, pot):
-    slice_ = band_branches(params, pot, detunings=np.array([0.0]))
+    e_minus, e_plus = band_branches(params, pot, np.array([0.0]))
     gap = perturbative_gaps(params, pot).entry().gap
-    assert slice_.e_plus[0] - slice_.e_minus[0] == pytest.approx(gap, rel=1e-12, abs=0)
-    mean = 0.5 * (slice_.e_plus[0] + slice_.e_minus[0])
-    e_b = bogoliubov_dispersion(slice_.q_n, params.mu_tilde, RB87)
+    assert e_plus[0] - e_minus[0] == pytest.approx(gap, rel=1e-12, abs=0)
+    mean = 0.5 * (e_plus[0] + e_minus[0])
+    e_b = bogoliubov_dispersion(pot.components[0].k_c / 2.0, params.mu_tilde, RB87)
     u_over_eb = abs(pot.components[0].coefficients[0]) / e_b
     assert abs(mean - e_b) / e_b <= u_over_eb**2
 
@@ -106,20 +106,20 @@ def test_branches_unperturbed_crossing(params, pot):
     k_c = pot.components[0].k_c
     flat = LateralPotential(components=(PotentialComponent(k_c=k_c, coefficients=(0.0,)),))
     eps = np.linspace(-k_c / 4.0, k_c / 4.0, 33)
-    slice_ = band_branches(params, flat, detunings=eps)
+    e_minus, e_plus = band_branches(params, flat, eps)
     for i, e in enumerate(eps):
         pair = sorted([
             bogoliubov_dispersion(abs(k_c / 2.0 + e), params.mu_tilde, RB87),
             bogoliubov_dispersion(abs(-k_c / 2.0 + e), params.mu_tilde, RB87),
         ])
-        assert slice_.e_minus[i] == pytest.approx(pair[0], rel=1e-12, abs=0)
-        assert slice_.e_plus[i] == pytest.approx(pair[1], rel=1e-12, abs=0)
+        assert e_minus[i] == pytest.approx(pair[0], rel=1e-12, abs=0)
+        assert e_plus[i] == pytest.approx(pair[1], rel=1e-12, abs=0)
 
 
 def test_branches_ordering_and_linearity(params, pot):
     k_c = pot.components[0].k_c
-    slice_full = band_branches(params, pot, detunings=np.linspace(-k_c / 4.0, k_c / 4.0, 129))
-    assert np.all(slice_full.e_minus <= slice_full.e_plus)
+    e_minus, e_plus = band_branches(params, pot, np.linspace(-k_c / 4.0, k_c / 4.0, 129))
+    assert np.all(e_minus <= e_plus)
     # gap scales linearly under U -> U/2, U/4
     u = pot.components[0].coefficients[0]
     gap_1 = perturbative_gaps(params, pot).entry().gap
@@ -164,17 +164,15 @@ def test_vectorized_branches_match_scalar_loop(params, k_over_kmu, u_over_mu, ha
         for r, us in zip(k_over_kmu, u_over_mu)))
     quarter = pot.components[fundamental].k_c / 4.0
     detunings = np.array([0.0, -quarter, quarter] + [f * quarter for f in fractions])
-    slice_ = band_branches(params, pot, harmonic=harmonic, detunings=detunings,
-                           fundamental=fundamental)
-    e_minus, e_plus = _scalar_band_branches(params, pot, harmonic, detunings, fundamental)
-    np.testing.assert_allclose(slice_.e_minus, e_minus, rtol=5e-16, atol=0)
-    np.testing.assert_allclose(slice_.e_plus, e_plus, rtol=5e-16, atol=0)
+    fast = band_branches(params, pot, detunings, harmonic=harmonic, fundamental=fundamental)
+    slow = _scalar_band_branches(params, pot, harmonic, detunings, fundamental)
+    np.testing.assert_allclose(fast, slow, rtol=5e-16, atol=0)
 
 
 def test_branches_detuning_domain(params, pot):
     k_c = pot.components[0].k_c
     with pytest.raises(PhysicsDomainError):
-        band_branches(params, pot, detunings=np.array([0.3 * k_c]))
+        band_branches(params, pot, np.array([0.3 * k_c]))
 
 
 # --- multibranch -------------------------------------------------------------
@@ -210,7 +208,9 @@ def _separation_in_mixing_widths(params, pot):
 def test_coupled_well_separated():
     params, pot = separated_scenario()
     report = coupled_mode_gaps(params, pot)
-    assert len(report.momenta) == 6
+    # A six-state block, read off the loop oracle it equals.
+    oracle, momenta = _loop_coupled_mode_gaps(params, pot)
+    assert len(momenta) == 6 and report == oracle
     assert _separation_in_mixing_widths(params, pot) >= 10.0
     for dev in report.deviations:
         assert abs(dev) < 0.01
@@ -229,7 +229,8 @@ def test_coupled_u2_zero_contains_single_result():
         PotentialComponent(k_c=k_1, coefficients=(u_1,)),)))
     # The block also holds the +-3k_1/2 states, one k_1 hop away; they shift
     # the pair at second order, by 1.5e-8 of the gap here.
-    assert report.splittings[0] == pytest.approx(single.entry().gap, rel=5e-8, abs=0)
+    splitting = report.independent_gaps[0] * (1.0 + report.deviations[0])
+    assert splitting == pytest.approx(single.entry().gap, rel=5e-8, abs=0)
 
 
 def test_coupled_identical_fundamentals_superpose():
@@ -243,7 +244,8 @@ def test_coupled_identical_fundamentals_superpose():
     report = coupled_mode_gaps(params, split_pot)
     single = perturbative_gaps(params, LateralPotential(components=(
         PotentialComponent(k_c=k_1, coefficients=(u,)),)))
-    assert report.splittings[0] == pytest.approx(single.entry().gap, rel=1e-12, abs=0)
+    splitting = report.independent_gaps[0] * (1.0 + report.deviations[0])
+    assert splitting == pytest.approx(single.entry().gap, rel=1e-12, abs=0)
 
 
 def test_coupled_mixing_onset():
@@ -277,8 +279,9 @@ def test_coupled_rejects_wrong_counts(params, pot):
 # Reference oracle: the block filled with index loops, one pair at a time.
 
 
-def _loop_coupled_mode_gaps(params, pot) -> CoupledModeReport:
-    """The index-loop block: slow oracle for coupled_mode_gaps."""
+def _loop_coupled_mode_gaps(params, pot) -> tuple[CoupledModeReport, list[float]]:
+    """The index-loop block: slow oracle for coupled_mode_gaps, with the
+    momenta of its basis states."""
     mu, sp = params.mu_tilde, params.species
     k1, k2 = (comp.k_c for comp in pot.components)
     u1 = pot.components[0].coefficients[0]
@@ -333,12 +336,7 @@ def _loop_coupled_mode_gaps(params, pot) -> CoupledModeReport:
     deviations = tuple(
         s / g - 1.0 if g > 0.0 else 0.0 for s, g in zip(splittings, independent)
     )
-    return CoupledModeReport(
-        momenta=tuple(momenta),
-        splittings=splittings,
-        independent_gaps=independent,
-        deviations=deviations,
-    )
+    return CoupledModeReport(independent_gaps=independent, deviations=deviations), momenta
 
 
 # The examples hold a basis momentum whose E_B or F differed in the last bit
@@ -364,6 +362,6 @@ def test_coupled_block_matches_loop_oracle(params, k_1, ratio, u_1, u_2):
         PotentialComponent(k_c=k_1, coefficients=(u_1 * e_b,)),
         PotentialComponent(k_c=ratio * k_1, coefficients=(u_2 * e_b,)),
     ))
-    fast, slow = coupled_mode_gaps(params, pot), _loop_coupled_mode_gaps(params, pot)
+    fast, (slow, _) = coupled_mode_gaps(params, pot), _loop_coupled_mode_gaps(params, pot)
     for field in CoupledModeReport.__dataclass_fields__:
         assert getattr(fast, field) == getattr(slow, field), field

@@ -164,6 +164,21 @@ def test_surface_validation():
         SurfaceConfig(fundamentals=(Corrugation(k_c=K_C, amplitudes=(5e-6,)),), z_cm=1e-6)
 
 
+def test_two_nonzero_terms_at_one_wavenumber_refused():
+    # 2 k_c = 1 * (2 k_c) within 1e-9 relative; a zero amplitude on either
+    # side leaves one term there, and 1e-8 apart the two are distinct.
+    def surface(h, k_2, h_2):
+        return SurfaceConfig(fundamentals=(Corrugation(k_c=K_C, amplitudes=h),
+                                           Corrugation(k_c=k_2, amplitudes=(h_2,))), z_cm=Z_CM)
+
+    with pytest.raises(ConfigurationError, match="harmonic 2 of lambda_c .* and harmonic 1 "
+                                                 "of lambda_c2 .* share the wavenumber"):
+        surface((1e-6, 5e-7), 2.0 * K_C * (1.0 + 0.9e-9), 5e-7)
+    surface((1e-6, 0.0), 2.0 * K_C, 5e-7)
+    surface((1e-6, 5e-7), 2.0 * K_C, 0.0)
+    surface((1e-6, 5e-7), 2.0 * K_C * (1.0 + 1e-8), 5e-7)
+
+
 # --- tabulated response ---------------------------------------------------
 
 
