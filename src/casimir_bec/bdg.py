@@ -224,10 +224,8 @@ class BdgBands:
     k_base: float
     cutoff: int
     mu_tilde: float
-    # Max relative gap change from cutoff max(4, M - 2); None when that
-    # cutoff is not below M or its basis misses a zone-edge state.
-    drift_vs_coarser: float | None
-    converged: bool | None         # doubling the cutoff moves gaps < 0.1%; None: no gaps
+    drift_vs_doubled: float | None  # max relative gap change from M to 2M; None: no gaps
+    converged: bool | None          # drift_vs_doubled < 1e-3; None: no gaps
 
 
 def bloch_grid(k_base: float, n: int) -> np.ndarray:
@@ -276,26 +274,14 @@ def solve_bdg_bands(
     bands = bands[inverse]
 
     gaps = _all_zone_edge_gaps(mu_tilde, species, pot, cutoff)
-
-    def max_rel_change(other):
-        worst = 0.0
-        for a, b in zip(gaps, other):
-            if a.gap > 0.0:
-                worst = max(worst, abs(b.gap - a.gap) / a.gap)
-        return worst
-
-    drift, coarse = None, max(4, cutoff - 2)
-    if coarse < cutoff:
-        try:
-            drift = max_rel_change(_all_zone_edge_gaps(mu_tilde, species, pot, coarse))
-        except UnsupportedConfigurationError:
-            pass  # the coarser basis misses a zone-edge state that M holds
-    converged = None
+    drift = converged = None
     if gaps:
         doubled = _all_zone_edge_gaps(mu_tilde, species, pot, 2 * cutoff)
-        converged = max_rel_change(doubled) < 1e-3
+        drift = max((abs(b.gap - a.gap) / a.gap for a, b in zip(gaps, doubled) if a.gap > 0.0),
+                    default=0.0)
+        converged = drift < 1e-3
     return BdgBands(q_grid=q_grid, bands=bands, zone_edge_gaps=gaps, k_base=k_base,
-                    cutoff=cutoff, mu_tilde=mu_tilde, drift_vs_coarser=drift,
+                    cutoff=cutoff, mu_tilde=mu_tilde, drift_vs_doubled=drift,
                     converged=converged)
 
 
@@ -320,13 +306,17 @@ class ComparisonReport:
         return all(r.passed for r in self.rows)
 
 
-def oracle_compare(pert, numeric: BdgBands) -> ComparisonReport:
-    """Perturbative gaps against the exact diagonalization.
+def oracle_tolerance(u_over_eb: float) -> float:
+    """Tolerance of the exact gap against the first-order one at
+    |U_n|/E_B(q_n) = u_over_eb: max(0.5%, 5 * |U_n|/E_B(q_n)), the
+    empirically measured second-order envelope."""
+    return max(0.005, 5.0 * u_over_eb)
 
-    Tolerance per gap is max(0.5%, 5 * |U_n|/E_B(q_n)), the empirically
-    measured second-order envelope.  Mismatched physical parameters raise
-    ContractError; an out-of-tolerance gap is reported as a failed row,
-    never thrown.
+
+def oracle_compare(pert, numeric: BdgBands) -> ComparisonReport:
+    """Perturbative gaps against the exact diagonalization, each at its
+    oracle_tolerance.  Mismatched physical parameters raise ContractError;
+    an out-of-tolerance gap is reported as a failed row, never thrown.
     """
     if abs(pert.mu_tilde - numeric.mu_tilde) > 1e-9 * pert.mu_tilde:
         raise ContractError(
@@ -346,7 +336,7 @@ def oracle_compare(pert, numeric: BdgBands) -> ComparisonReport:
                 f"zone-edge mismatch: {entry.q_n!r} vs {gap_num.q_n!r} rad/m"
             )
         u_over_eb = entry.gap_over_eb / entry.f_qn if entry.f_qn > 0.0 else 0.0
-        tolerance = max(0.005, 5.0 * u_over_eb)
+        tolerance = oracle_tolerance(u_over_eb)
         if entry.gap > 0.0:
             deviation = abs(gap_num.gap - entry.gap) / entry.gap
         else:

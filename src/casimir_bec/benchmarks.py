@@ -23,11 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bdg import zone_edge_gap
+from .bdg import oracle_tolerance, zone_edge_gap
 from .bragg import (
     BraggPulse,
     bragg_signal,
     default_lda_grid,
+    default_tau,
     dsf_homogeneous,
     dsf_lda,
     pulse_averaged_drive,
@@ -140,10 +141,10 @@ def longpulse_shape_deviation(params, u_1: float, q: float) -> float:
     """Max pointwise deviation between the normalized long-pulse response
     and the normalized DSF.
 
-    Protocol: tau = 100 hbar/E_B(q); the response at each probe detuning
-    w is dP_X/dt averaged over the pulse.  At equilibrium only the drive
-    term contributes, and its pulse average is exact
-    (`bragg.pulse_averaged_drive`):
+    Protocol: tau = 100 hbar/E_B(q) (`bragg.default_tau`); the response at
+    each probe detuning w is dP_X/dt averaged over the pulse.  At
+    equilibrium only the drive term contributes, and its pulse average is
+    exact (`bragg.pulse_averaged_drive`):
 
         (hbar q V_B^2 / 2) integral dw' S(q, w') (tau/2) sinc^2((w - w') tau / 2 pi),
 
@@ -152,8 +153,7 @@ def longpulse_shape_deviation(params, u_1: float, q: float) -> float:
     the finite-pulse kernel cannot follow the integrable singularity; both
     curves are normalized to their maximum over the probe set.
     """
-    e_b = bogoliubov_dispersion(q, params.mu_tilde, params.species)
-    tau = 100.0 * HBAR / e_b
+    tau = default_tau(bogoliubov_dispersion(q, params.mu_tilde, params.species))
     exclusion = LONGPULSE_EXCLUSION_WIDTHS * (TWO_PI / tau)
     grid = default_lda_grid(params, q, abs(u_1), n_points=4001)
     dsf = dsf_lda(q, grid, params, u_1)
@@ -267,7 +267,7 @@ def validate_reference() -> ValidationTable:
                      0.02))
 
     # Exact diagonalization vs the first-order gap, and its linear scaling.
-    oracle_tol = max(0.005, 5.0 * abs(u_1) / e_b1)
+    oracle_tol = oracle_tolerance(abs(u_1) / e_b1)
     numeric = zone_edge_gap(params.mu_tilde, species, pot, cutoff=16)
     rows.append(_below("bdg_vs_perturbative_dev", abs(numeric.gap - gap_1) / gap_1, oracle_tol))
     for scale, label in ((0.5, "bdg_linearity_s2_dev"), (0.25, "bdg_linearity_s4_dev")):
@@ -303,7 +303,7 @@ def validate_reference() -> ValidationTable:
     rows.append(_below("bragg_longpulse_shape_dev",
                        longpulse_shape_deviation(params, u_1, q_1), 0.05))
 
-    tau = 100.0 * HBAR / e_b1
+    tau = default_tau(e_b1)
     dsf_ref = dsf_lda(q_1, default_lda_grid(params, q_1, abs(u_1), 2001), params, u_1)
     silent = bragg_signal(BraggPulse(q=q_1, omega=e_b1 / HBAR, v_b=0.0, tau=tau),
                           dsf_ref, n_time=128)

@@ -87,6 +87,12 @@ class BraggPulse:
             raise PhysicsDomainError(f"pulse duration must be > 0, got {self.tau!r}")
 
 
+def default_tau(energy: float) -> float:
+    """The default pulse duration 100 hbar/E_B(q), with energy = E_B(q) in J:
+    far above the hbar/E_B(q) floor of the BraggPulse validity window."""
+    return 100.0 * HBAR / energy
+
+
 @dataclass(frozen=True)
 class DsfSpectrum:
     """Sampled S(q, w); branch arrays share the omega grid.

@@ -6,7 +6,8 @@
 The commands are the stages of ``pipeline.STAGES``.
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error or an
-output directory that cannot be written.
+output directory that cannot be written.  Warnings print to stderr as
+``warning: <Category>: <message>``.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+import warnings
 from pathlib import Path
 
 from .benchmarks import validate_reference
@@ -86,8 +88,14 @@ def _run_stage(command: str, config_path: str, out_dir: str) -> int:
     return 0
 
 
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {category.__name__}: {message}\n"
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Warnings name the run's condition, not the package file that noticed it.
+    python_format, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         if args.command == "validate":
             return _validate(args.out)
@@ -96,6 +104,8 @@ def main(argv=None) -> int:
         # Unreadable inputs are ConfigurationErrors; what is left is the output.
         print(f"{args.command}: cannot write output: {exc}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = python_format
 
 
 if __name__ == "__main__":

@@ -17,7 +17,6 @@ and small excitations of the locally homogeneous gas disperse as
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,18 +45,6 @@ class TrapConfig:
             raise ConfigurationError("trap frequencies must be > 0")
         if not self.atom_number >= 1:
             raise ConfigurationError(f"atom number must be >= 1, got {self.atom_number!r}")
-        if self.omega_r / self.omega_x <= 10.0:
-            warnings.warn(
-                f"trap aspect ratio omega_r/omega_x = {self.omega_r / self.omega_x:.3g} <= 10; "
-                "the elongated quasi-1D treatment assumes omega_r >> omega_x",
-                stacklevel=3,
-            )
-
-
-@dataclass(frozen=True)
-class RegimeFlags:
-    quasi1d: bool       # mu_tilde << 8*hbar*omega_r
-    tight_aspect: bool  # omega_r/omega_x > 10
 
 
 @dataclass(frozen=True)
@@ -72,7 +59,6 @@ class Quasi1DParams:
     mu: float           # J, full chemical potential mu_tilde + hbar*omega_r + U_N
     half_length: float  # m, axial TF half-length l/2
     k_mu: float         # rad/m, sqrt(2*m*mu_tilde)/hbar
-    flags: RegimeFlags
 
     @property
     def peak_density(self) -> float:
@@ -90,10 +76,6 @@ def derive_quasi1d(trap: TrapConfig, species: AtomSpecies) -> Quasi1DParams:
     if not mu_tilde > 0.0:
         raise PhysicsDomainError(f"derived mu_tilde must be > 0, got {mu_tilde!r}")
     k_mu = math.sqrt(2.0 * m * mu_tilde) / HBAR
-    flags = RegimeFlags(
-        quasi1d=mu_tilde < RATIO_SMALL * 8.0 * HBAR * trap.omega_r,
-        tight_aspect=trap.omega_r / trap.omega_x > 10.0,
-    )
     return Quasi1DParams(
         species=species,
         trap=trap,
@@ -103,7 +85,6 @@ def derive_quasi1d(trap: TrapConfig, species: AtomSpecies) -> Quasi1DParams:
         mu=mu_tilde + HBAR * trap.omega_r + trap.u_n_offset,
         half_length=half_length,
         k_mu=k_mu,
-        flags=flags,
     )
 
 
@@ -179,6 +160,10 @@ def regime_check(
     ratio = params.mu_tilde / (8.0 * HBAR * params.trap.omega_r)
     add("quasi1d", ratio, RATIO_SMALL, ratio < RATIO_SMALL,
         "mu_tilde / (8*hbar*omega_r); radial dynamics frozen when small")
+
+    aspect = params.trap.omega_r / params.trap.omega_x
+    add("tight_aspect", aspect, 10.0, aspect > 10.0,
+        "omega_r / omega_x; the elongated quasi-1D treatment needs omega_r >> omega_x")
 
     k_c_min = min(c.k_c for c in surface.fundamentals)
     kz = k_c_min * surface.z_cm

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bdg as bdg_mod
-from .bragg import BraggPulse, bragg_signal, default_lda_grid, dsf_lda
+from .bragg import BraggPulse, bragg_signal, default_lda_grid, default_tau, dsf_lda
 from .condensate import (
     bogoliubov_dispersion,
     derive_quasi1d,
@@ -50,9 +50,17 @@ def _probe_dsf(config: RunConfig, params, pot):
     or harmonic * k_c/2."""
     settings = config.bragg
     q = settings.q if settings.q is not None else settings.harmonic * pot.components[0].k_c / 2.0
-    # The first nonzero match, else the last zero one (-0.0 on a flat surface).
-    matched = [t.u for t in pot.terms if abs(t.k / 2.0 - q) <= 1e-6 * max(q, t.k_c)]
-    u_matched = next((u for u in matched if u != 0.0), matched[-1] if matched else 0.0)
+    matched = [t for t in pot.terms if abs(t.k / 2.0 - q) <= 1e-6 * max(q, t.k_c)]
+    nonzero = [t for t in matched if t.u != 0.0]
+    if len(nonzero) > 1:
+        a, b = (f"harmonic {t.harmonic} of {('lambda_c', 'lambda_c2')[t.fundamental]} "
+                f"(U = {t.u:.4g} J)" for t in nonzero[:2])
+        raise ConfigurationError(
+            f"probe q = {q * 1e-6:.7g} rad/um matches two nonzero Fourier terms to 1e-6 "
+            f"relative, {a} and {b}, and would read one of them as the whole term; give them "
+            "as one term, a harmonic of lambda_c with the amplitudes added")
+    # The nonzero match, else the last zero one (-0.0 on a flat surface).
+    u_matched = nonzero[0].u if nonzero else matched[-1].u if matched else 0.0
     if not matched:
         near = min(pot.terms, key=lambda t: abs(t.k / 2.0 - q))
         edge = near.k / 2.0
@@ -118,7 +126,7 @@ def _bdg_stage(config: RunConfig, params, pot):
         ],
     }
     sections["bdg"] = {"cutoff_M": bands.cutoff, "converged": bands.converged,
-                       "drift_vs_coarser": bands.drift_vs_coarser}
+                       "drift_vs_doubled": bands.drift_vs_doubled}
     n_q, n_bands = bands.bands.shape
     return [
         ("bdg_bands.csv",
@@ -126,7 +134,7 @@ def _bdg_stage(config: RunConfig, params, pot):
           "band": np.tile(np.arange(n_bands), n_q), "E_J": bands.bands.ravel(),
           "E_over_2pihbar_Hz": energy_to_frequency(bands.bands.ravel())},
          {"cutoff_M": bands.cutoff, "k_base_radpm": bands.k_base,
-          "drift_vs_coarser": bands.drift_vs_coarser, "converged": bands.converged}),
+          "drift_vs_doubled": bands.drift_vs_doubled, "converged": bands.converged}),
         ("bdg_gaps.csv",
          table(["fundamental", "harmonic", "q_n_radpm", "E_lower_J", "E_upper_J",
                 "gap_J", "gap_over_2pihbar_Hz"],
@@ -167,7 +175,7 @@ def _bragg_stage(config: RunConfig, params, pot):
     q, _, spectrum = _probe_dsf(config, params, pot)
     e_b = bogoliubov_dispersion(q, params.mu_tilde, config.species)
     omega = config.bragg.omega if config.bragg.omega is not None else e_b / HBAR
-    tau = config.bragg.tau if config.bragg.tau is not None else 100.0 * HBAR / e_b
+    tau = config.bragg.tau if config.bragg.tau is not None else default_tau(e_b)
     pulse = BraggPulse(q=q, omega=omega, v_b=config.bragg.v_b, tau=tau)
     signal = bragg_signal(pulse, spectrum, n_time=config.numerics.time_points)
     probe = {"q_radpm": q, "omega_radps": omega, "tau_s": tau}
@@ -223,7 +231,6 @@ def _summary_base(config: RunConfig, command: str, params, pot, regime):
             "half_length_m": params.half_length,
             "half_length_um": params.half_length * 1e6,
             "k_mu_radpm": params.k_mu,
-            "flags": {"quasi1d": params.flags.quasi1d, "tight_aspect": params.flags.tight_aspect},
         },
         "potential": [
             {"fundamental": t.fundamental, "k_c_radpm": t.k_c, "harmonic": t.harmonic,

@@ -61,8 +61,8 @@ CONFIGS = {
 
 # Absolute floors by summary key or CSV column, for values that are 0.0 on
 # one machine and roundoff on another BLAS.
-#   drift_vs_coarser: the relative gap change between cutoffs M and M - 2.
-ABS_FLOORS = {"drift_vs_coarser": 1e-9}
+#   drift_vs_doubled: the relative gap change between cutoffs M and 2M.
+ABS_FLOORS = {"drift_vs_doubled": 1e-9}
 # Band energies: the Goldstone slot at q = 0 is 0.0 or, on another BLAS,
 # up to sqrt((2M + 1) eps) of the largest band; the floor is a share of
 # the column's largest value and applies to slots that are 0.0 in the record.

@@ -217,27 +217,29 @@ def test_solve_bdg_bands_metadata(params, pot):
     bands = solve_bdg_bands(params.mu_tilde, RB87, pot, _default_grid(pot), cutoff=16,
                             n_bands=4)
     assert bands.converged is True
-    assert bands.drift_vs_coarser < 1e-3
+    assert bands.drift_vs_doubled < 1e-3
     assert bands.bands.shape == (33, 4)
     # band ordering along the grid
     assert np.all(np.diff(bands.bands, axis=1) >= -1e-12 * params.mu_tilde)
 
 
-def test_drift_is_null_without_a_coarser_basis(params, pot):
-    # The probe cutoff max(4, M - 2) must lie below M and hold every
-    # zone-edge pair; M = 4 would compare with itself.
-    assert solve_bdg_bands(params.mu_tilde, RB87, pot, _default_grid(pot), cutoff=4,
-                           n_bands=Numerics.bdg_bands).drift_vs_coarser is None
-    # At M = 5 the probe exists.  The gap is converged to ~1e-12 by M = 3, so
-    # its drift is roundoff (0.0 from the parity blocks), not a measured change.
-    drift = solve_bdg_bands(params.mu_tilde, RB87, pot, _default_grid(pot), cutoff=5,
-                            n_bands=Numerics.bdg_bands).drift_vs_coarser
-    assert isinstance(drift, float) and drift < 1e-12
-    # 63/62 fundamentals: M = 30 misses a zone-edge state that M = 32 holds.
+def test_drift_vs_doubled_is_the_gap_change_at_2m(params, pot):
+    # Every cutoff that holds the zone-edge pairs reports the relative gap
+    # change from M to 2M, and converged is that figure against 1e-3.
+    for cutoff in (4, 5):
+        bands = solve_bdg_bands(params.mu_tilde, RB87, pot, _default_grid(pot), cutoff=cutoff,
+                                n_bands=Numerics.bdg_bands)
+        gap = bands.zone_edge_gaps[0].gap
+        doubled = zone_edge_gap(params.mu_tilde, RB87, pot, cutoff=2 * cutoff).gap
+        assert bands.drift_vs_doubled == abs(doubled - gap) / gap
+        # The gap is converged to ~1e-12 by M = 3, so the drift is roundoff.
+        assert bands.drift_vs_doubled < 1e-12 and bands.converged is True
+    # 63/62 fundamentals at M = 32, which holds both zone-edge pairs.
     mix_params, mix_pot = mixing_scenario()
     bands = solve_bdg_bands(mix_params.mu_tilde, mix_params.species, mix_pot,
                             q_grid=[0.0], cutoff=32, n_bands=Numerics.bdg_bands)
-    assert bands.drift_vs_coarser is None
+    assert isinstance(bands.drift_vs_doubled, float)
+    assert bands.converged is (bands.drift_vs_doubled < 1e-3)
 
 
 def test_uncovered_cutoff_refused_before_solving(params, surface):
@@ -564,7 +566,7 @@ def test_oracle_compare_failed_row_reported_not_thrown(params, pot):
                        e_upper=3.0 * entry.gap, gap=3.0 * entry.gap)
     bands = BdgBands(q_grid=np.array([entry.q_n]), bands=np.zeros((1, 1)),
                      zone_edge_gaps=(fake,), k_base=2.0 * entry.q_n, cutoff=16,
-                     mu_tilde=params.mu_tilde, drift_vs_coarser=0.0, converged=None)
+                     mu_tilde=params.mu_tilde, drift_vs_doubled=0.0, converged=True)
     report = oracle_compare(gaps, bands)
     assert not report.all_pass
     assert report.rows[0].rel_deviation == pytest.approx(2.0, rel=1e-9)
@@ -578,6 +580,8 @@ def test_oracle_compare_zero_potential_passes(params, pot):
                             n_bands=Numerics.bdg_bands)
     report = oracle_compare(gaps, bands)
     assert report.all_pass and report.rows == ()
+    # No gap: neither the drift nor the verdict read off it exists.
+    assert bands.drift_vs_doubled is None and bands.converged is None
 
 
 def test_oracle_compare_contract(params, pot):

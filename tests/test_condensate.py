@@ -1,5 +1,7 @@
 """Quasi-1D derivation, TF profiles, dispersion, regime diagnostics."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,11 +27,12 @@ from casimir_bec.config import Numerics
 from casimir_bec.constants import HBAR
 
 
-def test_benchmark_derivation(params):
+def test_benchmark_derivation(params, surface):
     assert params.sigma * 1e6 == pytest.approx(0.2, rel=0.05)
     assert energy_to_frequency(params.mu_tilde) == pytest.approx(493.0, rel=0.05)
     assert params.half_length * 1e6 == pytest.approx(408.0, rel=0.05)
-    assert params.flags.quasi1d and params.flags.tight_aspect
+    rows = {r["check"]: r["status"] for r in regime_check(params, surface)}
+    assert rows["quasi1d"] == "pass" and rows["tight_aspect"] == "pass"
 
 
 def test_mu_scales_as_n_to_two_thirds(params):
@@ -80,11 +83,16 @@ def test_offset_shifts_full_mu_only(params):
     assert params.mu_tilde - mu_tilde_at_fixed_mu == pytest.approx(offset, rel=1e-12, abs=0)
 
 
-def test_trap_validation():
+def test_trap_validation(surface):
     with pytest.raises(Exception):
         TrapConfig(omega_r=-1.0, omega_x=1.0, atom_number=10)
-    with pytest.warns(UserWarning, match="aspect"):
-        TrapConfig(omega_r=10.0, omega_x=2.0, atom_number=10)
+    # omega_r/omega_x = 5 builds silently; its tight_aspect regime row warns.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        low = TrapConfig(omega_r=10.0, omega_x=2.0, atom_number=10)
+    rows = {r["check"]: r for r in regime_check(derive_quasi1d(low, RB87), surface)}
+    assert rows["tight_aspect"]["value"] == 5.0 and rows["tight_aspect"]["threshold"] == 10.0
+    assert rows["tight_aspect"]["status"] == "warn"
 
 
 # --- TF density -------------------------------------------------------------
