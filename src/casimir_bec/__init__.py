@@ -22,7 +22,6 @@ from .bragg import (
     bragg_signal,
     dsf_homogeneous,
     dsf_lda,
-    local_spectrum,
 )
 from .condensate import (
     Quasi1DParams,

@@ -3,7 +3,7 @@
 The homogeneous zero-temperature DSF of the quasi-1D gas is a single
 delta line,
 
-    S(q, w) = (N T_q / E_B(q)) * delta(hbar*w - E_B(q)) * hbar^-1-free form,
+    S(q, w) = N (T_q / E_B(q)) delta(hbar*w - E_B(q)),
 
 represented here as one grid bin whose trapezoid weight integrates to
 N*F(q) under hbar * integral S dw.  In the trapped cloud each axial slice
@@ -41,8 +41,9 @@ every <sin(n k_c x)> is zero by parity; and S(-q,-w') vanishes for w' > 0.
 Only the drive term is left (bragg_signal).  On uniform time and omega
 grids, e^{i(w - w'_j) t_k} factors into chirps in j and k, so the drive at
 all times is one chirp-z transform (Bluestein 1970): three FFTs, O((n_time
-+ n_omega) log) work, no (times x grid) matrix.  A non-uniform omega grid
-is refused.  Averaged over the pulse, the drive kernel integrates exactly,
++ n_omega) log) work, no (times x grid) matrix.  An omega grid that is
+not np.linspace of its ends is refused.  Averaged over the pulse, the
+drive kernel integrates exactly,
 
     (1/tau) integral_0^tau sin(D t)/D dt = (tau/2) sinc^2(D tau / 2 pi),
 
@@ -107,7 +108,6 @@ class DsfSpectrum:
     resonance_bins: tuple[int, ...]
     supports: tuple[tuple[float, float], ...]  # J, (lower, upper) per branch
     branch_weights: tuple[float, ...]
-    kind: str                    # "homogeneous" | "lda"
 
     @property
     def total(self) -> np.ndarray:
@@ -148,30 +148,7 @@ def dsf_homogeneous(q: float, omega_grid, params: Quasi1DParams) -> DsfSpectrum:
     s[i_res] = weight / (HBAR * _trapezoid_node_weights(omega)[i_res])
     return DsfSpectrum(
         omega=omega, s_minus=s, s_plus=np.zeros_like(omega),
-        resonance_bins=(i_res,), supports=((e_b, e_b),), branch_weights=(weight,),
-        kind="homogeneous",
-    )
-
-
-def _local_e0(x: float, t_q: float, mu_tilde: float, half: float) -> float:
-    envelope = max(0.0, 1.0 - (x / half) ** 2)
-    return math.sqrt(t_q * (t_q + 2.0 * mu_tilde * envelope))
-
-
-def local_spectrum(x: float, q: float, params: Quasi1DParams, u_n: float, sign: int) -> float:
-    """Local branch energy E+-(x, q) in J; sign is +1 or -1.
-
-    u_n enters as given (signed); branch labels follow the formula, not
-    the energetic ordering.
-    """
-    half = params.half_length
-    if abs(x) > half:
-        raise PhysicsDomainError(f"|x| = {abs(x):.6g} m outside the cloud (l/2 = {half:.6g} m)")
-    if sign not in (1, -1):
-        raise PhysicsDomainError(f"branch sign must be +1 or -1, got {sign!r}")
-    t_q = free_kinetic_energy(q, params.species)
-    e0 = _local_e0(x, t_q, params.mu_tilde, half)
-    return e0 + sign * (t_q / (2.0 * e0)) * u_n
+        resonance_bins=(i_res,), supports=((e_b, e_b),), branch_weights=(weight,))
 
 
 def _sample_branch(q, params, u_abs, sign, omega):
@@ -188,11 +165,11 @@ def _sample_branch(q, params, u_abs, sign, omega):
             "is not monotone and the branch inversion breaks down"
         )
 
-    e0_top = _local_e0(0.0, t_q, mu, half)
-    e_top = local_spectrum(0.0, q, params, u_abs, sign)
-    e_bottom = local_spectrum(half, q, params, u_abs, sign)
+    # The support ends, where E0 = T_q (cloud edge) and E0 = E_B(q) (centre).
+    e0_top = math.sqrt(t_q * (t_q + 2.0 * mu))
+    e_top = e0_top + sign * (t_q / (2.0 * e0_top)) * u_abs
+    e_bottom = t_q + sign * 0.5 * u_abs
     s = np.zeros_like(omega)
-    node_w = _trapezoid_node_weights(omega)
 
     i_res = int(np.argmin(np.abs(omega - e_top / HBAR)))
     curvature = (t_q * mu / (half**2 * e0_top)) * (
@@ -203,8 +180,7 @@ def _sample_branch(q, params, u_abs, sign, omega):
     # Regular bins: E0 is the larger root of E0^2 - E E0 + s T_q |U| / 2 = 0;
     # env = 1 - (x*/half)^2 and depth = (x*/half)^2 come from E0 - T_q and
     # e0_top - E0, which keeps each accurate at its own end of the support.
-    # As in _local_e0, env is clamped at 0: a bin a few ulps above e_bottom
-    # can round below it.
+    # env is clamped at 0: a bin a few ulps above e_bottom can round below it.
     e_t = HBAR * omega
     regular = (e_t > e_bottom) & (e_t < e_top)
     regular[i_res] = False
@@ -218,7 +194,7 @@ def _sample_branch(q, params, u_abs, sign, omega):
 
     # Capped, flagged resonance sample: the value half a bin below the
     # divergence, from the analytic sqrt form.
-    half_bin = 0.5 * HBAR * node_w[i_res]
+    half_bin = 0.5 * HBAR * _trapezoid_node_weights(omega)[i_res]
     if e_bottom < e_top - 0.25 * half_bin:
         probe = min(half_bin, 0.5 * (e_top - e_bottom))
         s[i_res] = amp / math.sqrt(probe)
@@ -227,17 +203,9 @@ def _sample_branch(q, params, u_abs, sign, omega):
     # divergence plus the analytic tail of the integrable singularity
     # over [last regular sample, e_top].  Integrating on the sub-grid
     # keeps the capped bin out of the quadrature entirely.
-    inside = (HBAR * omega >= e_bottom) & (HBAR * omega < e_top)
-    inside[i_res] = False
-    e_regular = HBAR * omega[inside]
-    if e_regular.size >= 2:
-        regular_weight = float(np.trapezoid(s[inside], e_regular))
-        e_last = float(e_regular[-1])
-    else:
-        regular_weight = 0.0
-        e_last = e_bottom
+    e_last = float(e[-1]) if e.size >= 2 else e_bottom
     tail = 2.0 * amp * math.sqrt(max(0.0, e_top - e_last))
-    return s, i_res, (e_bottom, e_top), regular_weight + tail
+    return s, i_res, (e_bottom, e_top), float(np.trapezoid(s[regular], e)) + tail
 
 
 def dsf_lda(q: float, omega_grid, params: Quasi1DParams, u_n: float) -> DsfSpectrum:
@@ -257,17 +225,15 @@ def dsf_lda(q: float, omega_grid, params: Quasi1DParams, u_n: float) -> DsfSpect
                                              for sign in signs))
     return DsfSpectrum(
         omega=omega, s_minus=samples[0], s_plus=samples[1] if u_abs else np.zeros_like(omega),
-        resonance_bins=bins, supports=supports, branch_weights=weights, kind="lda",
-    )
+        resonance_bins=bins, supports=supports, branch_weights=weights)
 
 
 def default_lda_grid(params, q: float, u_abs: float, n_points: int) -> np.ndarray:
     """Omega grid covering both LDA branch supports with margin."""
     t_q = free_kinetic_energy(q, params.species)
     e_b = bogoliubov_dispersion(q, params.mu_tilde, params.species)
-    f_q = suppression_factor(q, params.mu_tilde, params.species)
     lower = max(0.0, (t_q - 0.5 * u_abs) * 0.8) / HBAR
-    upper = (e_b + 0.5 * f_q * u_abs) * 1.05 / HBAR
+    upper = (e_b + 0.5 * (t_q / e_b) * u_abs) * 1.05 / HBAR  # the upper marker E_B + F|U|/2
     return np.linspace(lower, upper, n_points)
 
 
@@ -322,22 +288,17 @@ def pulse_averaged_drive(omegas, q: float, tau: float, dsf_pos: DsfSpectrum) -> 
 # Nodes with |w - w'| t_max below this are summed directly: in the
 # transform their weight S/(w - w') would cost digits to cancellation.
 _NEAR_NODE = 1e-3
-# An omega grid is uniform if every node lies within this share of the
-# largest |w'| of the line through its ends: 18 ulp, where a linspace or
-# arange is off by 2 at most.  A node shift d moves the drive by ~ d * tau,
-# which this bound keeps near 2e-11 of max|drive| at w * tau ~ 1e4.
-_UNIFORM_RTOL = 4e-15
 
 
 def _uniform_step(omega: np.ndarray) -> float:
-    """The step of a uniform omega grid; any other grid is refused."""
+    """The step of an omega grid that is np.linspace of its ends; any other is refused."""
     step = (omega[-1] - omega[0]) / (omega.size - 1)
-    deviation = float(np.max(np.abs(omega - (omega[0] + step * np.arange(omega.size)))))
-    if deviation > _UNIFORM_RTOL * float(np.max(np.abs(omega))):
+    deviation = float(np.max(np.abs(omega - np.linspace(omega[0], omega[-1], omega.size))))
+    if deviation != 0.0:
         raise ContractError(
             f"omega grid is not uniform: a node lies {deviation:.3g} rad/s "
-            f"({deviation / abs(step):.3g} steps) off the line through its ends; "
-            "the drive kernel needs a uniform grid (np.linspace)"
+            f"({deviation / abs(step):.3g} steps) off np.linspace of its ends; "
+            "the drive kernel needs a grid built by np.linspace"
         )
     return step
 
@@ -387,20 +348,20 @@ def bragg_signal(pulse: BraggPulse, dsf_pos: DsfSpectrum, n_time: int) -> BraggS
         dP_X/dt = (hbar q V_B^2 / 2) integral dw' S(q,w') sin((w - w')t)/(w - w'),
 
     with the integral a trapezoid sum over the omega grid.  The omega grid
-    must be uniform (anything else is a ContractError); on it and on the
-    uniform times the sum at all times is one chirp-z transform, O((n_time
-    + n_omega) log) work and memory, with no (times x grid) matrix.  The
-    few nodes within 1e-3 / tau of w, where 1/(w - w') would cost digits,
-    are summed directly.  dP_X/dt(0) = 0 exactly.  P_X is the cumulative
-    trapezoid of dP_X/dt from P_X(0) = 0.
+    must be np.linspace of its ends (anything else is a ContractError); on
+    it and on the uniform times the sum at all times is one chirp-z
+    transform, O((n_time + n_omega) log) work and memory, with no (times x
+    grid) matrix.  The few nodes within 1e-3 / tau of w, where 1/(w - w')
+    would cost digits, are summed directly.  dP_X/dt(0) = 0 exactly.  P_X
+    is the cumulative trapezoid of dP_X/dt from P_X(0) = 0.
     """
     if n_time < 1:
         raise ContractError(f"n_time must be >= 1, got {n_time!r}")
     times = np.linspace(0.0, pulse.tau, n_time)
     step = _uniform_step(dsf_pos.omega)
+    _check_support(dsf_pos, pulse.tau)  # here, so a warning names our caller
     dpdt = np.zeros_like(times)
-    if pulse.v_b != 0.0:
-        _check_support(dsf_pos, pulse.tau)  # here, so a warning names our caller
+    if pulse.v_b != 0.0:  # else exact zeros, not -0.0
         weights = dsf_pos.total * _trapezoid_node_weights(dsf_pos.omega)
         dpdt = (HBAR * pulse.q * pulse.v_b**2 / 2.0) * _sin_sum(
             pulse.omega - dsf_pos.omega, step, times, weights)

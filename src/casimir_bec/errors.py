@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the float-range guard that raises one."""
+
+from contextlib import contextmanager
+
+import numpy as np
 
 
 class CasimirBecError(Exception):
@@ -27,3 +31,13 @@ class InstabilityError(CasimirBecError):
 
 class ContractError(CasimirBecError):
     """Mismatched inputs handed between pipeline stages."""
+
+
+@contextmanager
+def float_range(quantity: str):
+    """Refuse an overflow, a division by zero or a NaN in the block, naming `quantity`."""
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            yield
+    except ArithmeticError as exc:
+        raise PhysicsDomainError(f"{quantity} leaves the float range ({exc.args[-1]})") from exc

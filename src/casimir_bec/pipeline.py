@@ -6,8 +6,8 @@ nothing.  It returns ``(tables, sections)``: each table is ``(file name,
 {column header: 1-D column}, metadata)``, arrays as they are and records
 through ``emit.table``, and sections are top-level ``summary.json`` entries.
 ``run_scenario`` resolves the cloud, the lateral potential and the regime
-checks once, runs the stage, and only then writes its tables and the
-summary, so a stage that raises leaves no file behind.
+checks once, runs the stage, and only once its tables and summary are all
+finite writes them, so a stage that raises leaves no file behind.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .condensate import (
 from .config import RunConfig
 from .constants import HBAR, TWO_PI, energy_to_frequency
 from .emit import table, write_csv, write_json
-from .errors import ConfigurationError
+from .errors import ConfigurationError, PhysicsDomainError, float_range
 from .spectrum import band_branches, perturbative_gaps
 from .surface import lateral_coefficients, lateral_eval, load_tabulated_response
 
@@ -68,8 +68,9 @@ def _probe_dsf(config: RunConfig, params, pot):
                       f"the nearest zone edge with one, n k_c/2 = {edge * 1e-6:.7g} rad/um "
                       f"(n = {near.harmonic}), misses it by {abs(q - edge) / edge:.3g} relative, "
                       "so the DSF is probed with U = 0", stacklevel=2)
-    grid = default_lda_grid(params, q, abs(u_matched), n_points=config.numerics.omega_points)
-    return q, u_matched, dsf_lda(q, grid, params, u_matched)
+    with float_range(f"the structure factor S(q, w) at the probe q = {q * 1e-6:.7g} rad/um"):
+        grid = default_lda_grid(params, q, abs(u_matched), n_points=config.numerics.omega_points)
+        return q, u_matched, dsf_lda(q, grid, params, u_matched)
 
 
 def _potential_stage(config: RunConfig, params, pot):
@@ -159,14 +160,14 @@ def _dsf_stage(config: RunConfig, params, pot):
          {"omega_radps": spectrum.omega, "omega_over_2pi_Hz": spectrum.omega / TWO_PI,
           "S_minus_arb": spectrum.s_minus, "S_plus_arb": spectrum.s_plus,
           "resonance_flag": flags},
-         {"q_radpm": q, "kind": spectrum.kind, "branches": len(spectrum.supports),
+         {"q_radpm": q, "kind": "lda", "branches": len(spectrum.supports),
           "marker_energies_J": energies, "branch_weights": weights}),
     ], {"dsf": {
         "q_radpm": q,
         "matched_U_J": u_matched,
         "single_branch": len(spectrum.supports) == 1,
         "marker_energies_J": energies,
-        "marker_separation_J": energies[-1] - energies[0] if len(energies) > 1 else 0.0,
+        "marker_separation_J": energies[-1] - energies[0],
         "branch_weights": weights,
     }}
 
@@ -177,7 +178,8 @@ def _bragg_stage(config: RunConfig, params, pot):
     omega = config.bragg.omega if config.bragg.omega is not None else e_b / HBAR
     tau = config.bragg.tau if config.bragg.tau is not None else default_tau(e_b)
     pulse = BraggPulse(q=q, omega=omega, v_b=config.bragg.v_b, tau=tau)
-    signal = bragg_signal(pulse, spectrum, n_time=config.numerics.time_points)
+    with float_range("the Bragg drive dP_X/dt"):
+        signal = bragg_signal(pulse, spectrum, n_time=config.numerics.time_points)
     probe = {"q_radpm": q, "omega_radps": omega, "tau_s": tau}
     return [
         ("bragg_signal.csv", {"t_s": signal.times, "dPdt": signal.dpdt, "P_X": signal.p_x},
@@ -241,6 +243,20 @@ def _summary_base(config: RunConfig, command: str, params, pot, regime):
     }
 
 
+def _refuse_nonfinite(value, where: str) -> None:
+    """Refuse a NaN or infinity in nested dicts, sequences, arrays or floats, by its path."""
+    if isinstance(value, np.ndarray) and value.dtype.kind == "f" and not np.isfinite(value).all():
+        value = value.tolist()
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _refuse_nonfinite(item, f"{where}.{key}")
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            _refuse_nonfinite(item, f"{where}[{i}]")
+    elif isinstance(value, float) and not abs(value) < np.inf:  # NaN or infinite
+        raise PhysicsDomainError(f"{where} = {value} leaves the float range; no file written")
+
+
 def run_scenario(config: RunConfig, command: str, out_dir) -> dict:
     """Run one command's stage, write its tables and summary.json, return the summary."""
     if command not in STAGES:
@@ -254,6 +270,9 @@ def run_scenario(config: RunConfig, command: str, out_dir) -> dict:
     summary = _summary_base(config, command, params, pot, regime)
     tables, sections = STAGES[command][1](config, params, pot)
     summary.update(sections)
+    _refuse_nonfinite(summary, "summary.json")
+    for name, columns, metadata in tables:
+        _refuse_nonfinite({**metadata, **columns}, name)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

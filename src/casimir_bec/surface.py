@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .constants import C, HBAR
-from .errors import ConfigurationError, ExtrapolationError, PhysicsDomainError
+from .errors import ConfigurationError, ExtrapolationError, PhysicsDomainError, float_range
 from .species import AtomSpecies
 
 
@@ -124,10 +124,11 @@ def response_perfect(k, z: float, species: AtomSpecies):
         raise PhysicsDomainError(f"wavenumber must be >= 0, got {k!r}")
     if not z > 0.0:
         raise PhysicsDomainError(f"separation must be > 0, got {z!r}")
-    big_z = k_arr * z
-    poly = 1.0 + big_z + (16.0 / 45.0) * big_z**2 + big_z**3 / 45.0
-    prefactor = -3.0 * HBAR * C * species.polarizability_volume / (8.0 * math.pi**2 * z**5)
-    g = prefactor * np.exp(-big_z) * poly
+    with float_range("the Casimir-Polder response g(k, z_cm)"):
+        big_z = k_arr * z
+        poly = 1.0 + big_z + (16.0 / 45.0) * big_z**2 + big_z**3 / 45.0
+        prefactor = -3.0 * HBAR * C * species.polarizability_volume / (8.0 * math.pi**2 * z**5)
+        g = prefactor * np.exp(-big_z) * poly
     return float(g) if np.isscalar(k) or k_arr.ndim == 0 else g
 
 

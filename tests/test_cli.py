@@ -178,6 +178,86 @@ def test_clipped_bragg_support_names_its_cure(config_path, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_zero_drive_keeps_the_grid_checks(config_path, tmp_path, capsys):
+    # v_b only scales the drive: at v_b = 0 the same grids are refused or
+    # warned about, and the null drive is exact +0.0.
+    zero = Path(config_path).read_text() + "\n[bragg]\nv_b = 0\n"
+    coarse = tmp_path / "coarse.cfg"
+    coarse.write_text(zero.replace("omega_points = 601", "omega_points = 8"))
+    assert _run("bragg", str(coarse), tmp_path / "o") == 2
+    assert "clipped at the upper end of its 8-node omega grid" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+    long = tmp_path / "long.cfg"
+    long.write_text(zero.replace("omega_points = 601", "omega_points = 64") + "tau = 10 s\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _run("bragg", str(long), tmp_path / "long") == 0
+    assert ["under-resolved" in str(w.message) for w in caught] == [True]
+    _, columns, rows = read_csv(tmp_path / "long" / "bragg_signal.csv")
+    assert {str(row[columns.index("dPdt")]) for row in rows} == {"0.0"}
+
+
+# One input of the reference config so extreme that a derived quantity leaves
+# the float range, and the commands that refuse it for that reason.
+_FLOAT_RANGE = {
+    "omega_x": ("omega_x = 0.83 Hz", "omega_x = 1e-300 Hz", set(COMMAND_FILES)),
+    "z_cm": ("z_cm = 3 um", "z_cm = 1e-300 m", set(COMMAND_FILES)),
+    "lambda_c_large": ("lambda_c = 9.75 um", "lambda_c = 1e300 m",
+                       set(COMMAND_FILES) - {"potential"}),
+    "lambda_c_small": ("lambda_c = 9.75 um\nh = 1 um", "lambda_c = 1e-300 m\nh = 0 um",
+                       set(COMMAND_FILES)),
+    "q": ("[numerics]", "[bragg]\nq = 1e300 rad/m\n[numerics]", {"dsf", "bragg"}),
+    "v_b": ("[numerics]", "[bragg]\nv_b = 1e300\n[numerics]", {"bragg"}),
+    "t_bec": ("atoms = 1e4", "atoms = 1e4\nt_bec = 1e-300 K", set(COMMAND_FILES)),
+    "t_env": ("h = 1 um", "h = 1 um\nt_env = 1e-310 K", set(COMMAND_FILES)),
+}
+
+
+@pytest.mark.parametrize("name", list(_FLOAT_RANGE))
+def test_float_range_refused_in_one_line(tmp_path, capsys, name):
+    # Exit 0 or 2, never an exception; a refusal is one stderr line naming
+    # the quantity and leaves no directory.
+    old, new, refused = _FLOAT_RANGE[name]
+    config = tmp_path / "extreme.cfg"
+    config.write_text(CONFIG.replace(old, new, 1))
+    for command in COMMAND_FILES:
+        out = tmp_path / command
+        code = _run(command, str(config), out)
+        err = capsys.readouterr().err
+        assert code in (0, 2), (command, code)
+        assert "Traceback" not in err
+        if code == 2:
+            assert err.count("\n") == 1 and not out.exists(), (command, err)
+        assert ("leaves the float range" in err) is (command in refused), (command, err)
+
+
+@pytest.mark.parametrize("section, where", [
+    ("table", "dsf.csv.S_minus_arb[3] = nan"),
+    ("summary", "summary.json.dsf.branch_weights[1] = inf"),
+])
+def test_non_finite_output_written_nowhere(config_path, tmp_path, capsys, monkeypatch,
+                                           section, where):
+    import numpy as np
+
+    from casimir_bec import pipeline
+
+    help_text, stage = pipeline.STAGES["dsf"]
+
+    def spoiled(config, params, pot):
+        tables, sections = stage(config, params, pot)
+        if section == "table":
+            tables[0][1]["S_minus_arb"][3] = np.nan
+        else:
+            sections["dsf"]["branch_weights"][1] = np.inf
+        return tables, sections
+
+    monkeypatch.setitem(pipeline.STAGES, "dsf", (help_text, spoiled))
+    assert _run("dsf", config_path, tmp_path / "o") == 2
+    assert capsys.readouterr().err == f"dsf: {where} leaves the float range; no file written\n"
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("name, bragg, message", [
     ("explicit", "", "probe q = 0.3222 rad/um matches no Fourier term of the surface; "
      "the nearest zone edge with one, n k_c/2 = 0.3222146 rad/um (n = 1), misses it by "
@@ -456,21 +536,24 @@ def test_relative_response_file_beside_config(tmp_path, monkeypatch):
 # Per fuzzed key: (unit, in-range values, edge or out-of-range values).
 _FUZZ_KEYS = {
     ("trap", "omega_r"): ("kHz", st.floats(0.5, 10.0), st.sampled_from([0.0, -2.7])),
-    ("trap", "omega_x"): ("Hz", st.floats(0.2, 10.0), st.sampled_from([0.0, -0.83])),
+    ("trap", "omega_x"): ("Hz", st.floats(0.2, 10.0), st.sampled_from([0.0, -0.83, 1e-300, 1e300])),
     ("trap", "atoms"): ("", st.floats(1e3, 1e5), st.sampled_from([0.0, 0.5, 1.0, 1e8])),
     ("trap", "u_n_offset"): ("Hz", st.floats(-20.0, 20.0), st.sampled_from([-1e4, 1e4])),
-    ("trap", "t_bec"): ("nK", st.floats(0.1, 100.0), st.sampled_from([0.0, -1.0])),
-    ("surface", "z_cm"): ("um", st.floats(1.0, 10.0), st.sampled_from([0.0, -1.0, 0.05])),
-    ("surface", "lambda_c"): ("um", st.floats(2.0, 20.0), st.sampled_from([0.0, -3.0, 1e-3])),
+    ("trap", "t_bec"): ("nK", st.floats(0.1, 100.0), st.sampled_from([0.0, -1.0, 1e-300, 1e300])),
+    ("surface", "z_cm"): ("um", st.floats(1.0, 10.0),
+                          st.sampled_from([0.0, -1.0, 0.05, 1e-300, 1e300])),
+    ("surface", "lambda_c"): ("um", st.floats(2.0, 20.0),
+                              st.sampled_from([0.0, -3.0, 1e-3, 1e-300, 1e300])),
     ("surface", "h"): ("um", st.lists(st.floats(0.0, 0.3), min_size=1, max_size=3).map(
         lambda hs: ", ".join(map(str, hs))), st.sampled_from([-0.1, 5.0, 50.0])),
     ("surface", "eta_f"): ("", st.floats(0.0, 1.0), st.sampled_from([-0.1, 1.5])),
-    ("surface", "t_env"): ("K", st.floats(1.0, 400.0), st.sampled_from([0.0, -300.0])),
+    ("surface", "t_env"): ("K", st.floats(1.0, 400.0), st.sampled_from([0.0, -300.0, 1e-310])),
     ("bragg", "harmonic"): ("", st.integers(1, 3), st.integers(-2, 0)),
-    ("bragg", "q"): ("rad/um", st.floats(0.05, 2.0), st.sampled_from([0.0, -0.3, 1e3])),
+    ("bragg", "q"): ("rad/um", st.floats(0.05, 2.0),
+                     st.sampled_from([0.0, -0.3, 1e3, 1e-300, 1e300])),
     ("bragg", "omega"): ("Hz", st.floats(1.0, 300.0), st.sampled_from([0.0, -50.0, 1e6])),
     ("bragg", "tau"): ("s", st.floats(0.01, 1.0), st.sampled_from([0.0, -0.1, 1e3])),
-    ("bragg", "v_b"): ("", st.floats(0.1, 2.0), st.sampled_from([0.0, -1.0])),
+    ("bragg", "v_b"): ("", st.floats(0.1, 2.0), st.sampled_from([0.0, -1.0, 1e-300, 1e300])),
     ("numerics", "density_points"): ("", st.integers(2, 64), st.integers(-1, 1)),
     ("numerics", "bdg_cutoff"): ("", st.integers(4, 8), st.integers(-1, 3)),
     ("numerics", "bdg_bands"): ("", st.integers(1, 8), st.sampled_from([0, 20])),
