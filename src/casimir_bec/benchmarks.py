@@ -132,7 +132,10 @@ def mixing_scenario():
 
 MIXING_BDG_CUTOFF = 128
 
-# Long-pulse check: probe count, and the exclusion in kernel widths 2*pi/tau.
+# Long-pulse check: the eligible nodes are thinned to every
+# (count // LONGPULSE_PROBES)-th, which keeps LONGPULSE_PROBES or a few
+# more (34 of 1194, every 36th, on the reference); and the exclusion in
+# kernel widths 2*pi/tau.
 LONGPULSE_PROBES = 33
 LONGPULSE_EXCLUSION_WIDTHS = 5.0
 
@@ -171,7 +174,7 @@ def longpulse_shape_deviation(params, u_1: float, q: float) -> float:
         )
     probe_idx = probe_idx[:: max(1, probe_idx.size // LONGPULSE_PROBES)]
 
-    responses = pulse_averaged_drive(dsf.omega[probe_idx], q, tau, dsf)
+    responses = pulse_averaged_drive(probe_idx, q, tau, dsf)
     s_probe = dsf.total[probe_idx]
     return float(np.max(np.abs(responses / np.max(responses) - s_probe / np.max(s_probe))))
 

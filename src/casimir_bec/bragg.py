@@ -48,7 +48,10 @@ drive kernel integrates exactly,
     (1/tau) integral_0^tau sin(D t)/D dt = (tau/2) sinc^2(D tau / 2 pi),
 
 with sinc(x) = sin(pi x)/(pi x), so the long-pulse response needs no time
-grid (pulse_averaged_drive).
+grid (pulse_averaged_drive).  Its probes are grid nodes, so the kernel
+depends only on the node offset: it is evaluated once on the 2n - 1
+offsets, and each probe reads its row as a window of that Toeplitz kernel,
+with no (probes x grid) sinc evaluation.
 """
 
 from __future__ import annotations
@@ -268,21 +271,36 @@ def _check_support(dsf: DsfSpectrum, tau: float) -> None:
         )
 
 
-def pulse_averaged_drive(omegas, q: float, tau: float, dsf_pos: DsfSpectrum) -> np.ndarray:
+def pulse_averaged_drive(probe_idx, q: float, tau: float, dsf_pos: DsfSpectrum) -> np.ndarray:
     """Drive term of dP_X/dt at V_B = 1 (it scales as V_B^2) averaged over
-    a pulse [0, tau], one value per detuning in `omegas` (rad/s), at zero
-    temperature.
+    a pulse [0, tau], at zero temperature, one value per probe detuning
+    w = dsf_pos.omega[i] for i in `probe_idx` (integer node indices).
 
     The time average of the kernel is exact,
     (1/tau) integral_0^tau sin(D t)/D dt = (1 - cos D tau)/(D^2 tau)
-                                         = (tau/2) sinc^2(D tau / 2 pi),
-    so the average is one (detunings x grid) matrix-vector product.
+                                         = (tau/2) sinc^2(D tau / 2 pi).
+    The omega grid must be np.linspace of its ends (anything else is a
+    ContractError), so with probes on its nodes D = step * (i - j) depends
+    only on the node offset: the kernel is evaluated once on the 2n - 1
+    offsets, and each probe's row is a contiguous window of it (a Toeplitz
+    matrix), contracted with the trapezoid weights S dw'.
     """
+    omega = dsf_pos.omega
+    n = omega.size
+    step = _uniform_step(omega)
     _check_support(dsf_pos, tau)
-    delta = np.asarray(omegas, dtype=float)[:, None] - dsf_pos.omega[None, :]
-    kernel = 0.5 * tau * np.sinc(delta * tau / (2.0 * math.pi)) ** 2
-    weights = dsf_pos.total * _trapezoid_node_weights(dsf_pos.omega)
-    return (HBAR * q / 2.0) * (kernel @ weights)
+    idx = np.asarray(probe_idx)
+    if idx.dtype.kind not in "iu":
+        raise ContractError(f"probe_idx must hold integer node indices, got dtype {idx.dtype}")
+    outside = idx[(idx < 0) | (idx >= n)]
+    if outside.size:  # else index n would wrap to the row of node 0
+        raise ContractError(
+            f"probe index {outside.flat[0]} lies outside the {n}-node omega grid [0, {n})")
+    offsets = step * np.arange(n - 1, -n, -1)
+    kernel = 0.5 * tau * np.sinc(offsets * tau / (2.0 * math.pi)) ** 2
+    rows = np.lib.stride_tricks.sliding_window_view(kernel, n)[n - 1 - idx]
+    weights = dsf_pos.total * _trapezoid_node_weights(omega)
+    return (HBAR * q / 2.0) * (rows @ weights)
 
 
 # Nodes with |w - w'| t_max below this are summed directly: in the

@@ -76,7 +76,10 @@ def _probe_dsf(config: RunConfig, params, pot):
 def _potential_stage(config: RunConfig, params, pot):
     lam_max = max(c.wavelength for c in config.surface.fundamentals)
     x = np.linspace(0.0, lam_max, 513)
-    u_x = lateral_eval(pot, x)
+    with float_range("the potential profile, x in um and U(x) in Hz"):
+        u_x = lateral_eval(pot, x)
+        profile = {"x_m": x, "x_um": x * 1e6, "U_J": u_x,
+                   "U_over_2pihbar_Hz": energy_to_frequency(u_x)}
     x_n, n1 = tf_axial_density(params, n_points=config.numerics.density_points)
     return [
         ("potential_coefficients.csv",
@@ -84,8 +87,7 @@ def _potential_stage(config: RunConfig, params, pot):
                [[t.fundamental, t.k_c, t.harmonic, t.k, t.u, energy_to_frequency(t.u)]
                 for t in pot.terms]),
          {"z_cm_m": config.surface.z_cm, "material": config.surface.material}),
-        ("potential_profile.csv", {"x_m": x, "x_um": x * 1e6, "U_J": u_x,
-                                   "U_over_2pihbar_Hz": energy_to_frequency(u_x)}, {}),
+        ("potential_profile.csv", profile, {}),
         ("density_profile.csv", {"x_m": x_n, "x_um": x_n * 1e6, "n1_per_m": n1}, {}),
     ], {}
 
@@ -95,17 +97,20 @@ def _spectrum_stage(config: RunConfig, params, pot):
     n, entries = config.numerics.branch_points, gaps.entries
     # One slice per gap, stacked: n rows each, in gap order.
     detunings = [np.linspace(-e.k_c / 4.0, e.k_c / 4.0, n) for e in entries]
-    slices = [band_branches(params, pot, eps, harmonic=e.harmonic, fundamental=e.fundamental)
-              for e, eps in zip(entries, detunings)]
-    e_minus, e_plus = np.ravel([s[0] for s in slices]), np.ravel([s[1] for s in slices])
+    with float_range("a zone-edge branch E+-(q) in J or Hz"):
+        slices = [band_branches(params, pot, eps, harmonic=e.harmonic, fundamental=e.fundamental)
+                  for e, eps in zip(entries, detunings)]
+        e_minus, e_plus = np.ravel([s[0] for s in slices]), np.ravel([s[1] for s in slices])
+        branches = {"E_minus_J": e_minus, "E_plus_J": e_plus,
+                    "E_minus_Hz": energy_to_frequency(e_minus),
+                    "E_plus_Hz": energy_to_frequency(e_plus)}
     return [
         ("gap_table.csv", table(_GAP_COLUMNS, gap_rows), {}),
         ("band_branches.csv", {
             "fundamental": np.repeat([e.fundamental for e in entries], n),
             "harmonic": np.repeat([e.harmonic for e in entries], n),
             "q_radpm": np.ravel([e.q_n + eps for e, eps in zip(entries, detunings)]),
-            "E_minus_J": e_minus, "E_plus_J": e_plus, "E_minus_Hz": energy_to_frequency(e_minus),
-            "E_plus_Hz": energy_to_frequency(e_plus)}, {}),
+            **branches}, {}),
     ], sections
 
 

@@ -378,14 +378,17 @@ def test_signal_long_pulse_reads_dsf_shape(params, q_1, u_1):
 def test_pulse_average_matches_time_stepped_signal(params, q_1, dsf_ref):
     # The trapezoid time average of bragg_signal converges to the exact
     # pulse average as O(n_time^-2): 16x closer from 1024 to 4096 points.
+    # The probes are the nodes nearest 0.5, 0.8 and 1.0 E_B/hbar.
     e_b = bogoliubov_dispersion(q_1, params.mu_tilde, RB87)
     tau = 100.0 * HBAR / e_b
-    probes = np.array([0.5, 0.8, 1.0]) * e_b / HBAR
-    exact = pulse_averaged_drive(probes, q_1, tau, dsf_ref)
+    probe_idx = np.array([int(np.argmin(np.abs(dsf_ref.omega - f * e_b / HBAR)))
+                          for f in (0.5, 0.8, 1.0)])
+    assert probe_idx.tolist() == [888, 1494, 1899]
+    exact = pulse_averaged_drive(probe_idx, q_1, tau, dsf_ref)
 
     def stepped_error(n_time):
         stepped = []
-        for w in probes:
+        for w in dsf_ref.omega[probe_idx]:
             signal = bragg_signal(BraggPulse(q=q_1, omega=float(w), v_b=1.0, tau=tau),
                                   dsf_ref, n_time=n_time)
             stepped.append(float(np.trapezoid(signal.dpdt, signal.times)) / tau)
@@ -394,6 +397,67 @@ def test_pulse_average_matches_time_stepped_signal(params, q_1, dsf_ref):
     coarse, fine = stepped_error(1024), stepped_error(4096)
     assert fine <= 1e-6
     assert 12.0 < coarse / fine < 20.0
+
+
+# Reference oracle: the pulse average on the full (detunings x grid) sinc^2
+# matrix, the kernel pulse_averaged_drive evaluated before the Toeplitz read.
+
+
+def _direct_pulse_average(omegas, q, tau, dsf):
+    delta = np.asarray(omegas, dtype=float)[:, None] - dsf.omega[None, :]
+    kernel = 0.5 * tau * np.sinc(delta * tau / (2.0 * math.pi)) ** 2
+    weights = dsf.total * bragg._trapezoid_node_weights(dsf.omega)
+    return (HBAR * q / 2.0) * (kernel @ weights)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(q_over_kmu=st.floats(0.03, 3.0), u_over_2tq=st.floats(0.0, 0.99),
+       n_points=st.integers(8, 4001), tau_factor=st.floats(0.1, 10.0),
+       n_extra=st.integers(0, 64), seed=st.integers(0, 2**16))
+@example(q_over_kmu=0.11, u_over_2tq=0.02, n_points=4001, tau_factor=1.0, n_extra=32,
+         seed=0)  # the shape of validate's long-pulse check
+@example(q_over_kmu=0.11, u_over_2tq=0.0, n_points=4001, tau_factor=10.0, n_extra=64,
+         seed=1)  # one branch, under-resolved
+def test_pulse_average_matches_direct_sum(q_over_kmu, u_over_2tq, n_points, tau_factor,
+                                          n_extra, seed):
+    # The Toeplitz read meets the direct sum on a random node subset that
+    # holds both ends of the grid, in random order.
+    params = benchmark_params()
+    q = q_over_kmu * params.k_mu
+    u = u_over_2tq * 2.0 * free_kinetic_energy(q, RB87)
+    dsf = dsf_lda(q, default_lda_grid(params, q, u, n_points), params, u)
+    tau = tau_factor * bragg.default_tau(bogoliubov_dispersion(q, params.mu_tilde, RB87))
+    rng = np.random.default_rng(seed)
+    probe_idx = rng.permutation(np.union1d([0, n_points - 1],
+                                           rng.integers(0, n_points, n_extra)))
+    if dsf.total[0] > 0.0 or dsf.total[-1] > 0.0:  # a coarse grid can clip the support
+        with pytest.raises(ContractError, match="clipped"):
+            pulse_averaged_drive(probe_idx, q, tau, dsf)
+        return
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fast = pulse_averaged_drive(probe_idx, q, tau, dsf)
+    under_resolved = float(np.max(np.diff(dsf.omega))) > 1.0 / tau
+    assert [("under-resolved" in str(w.message), w.filename) for w in caught] == \
+        [(True, __file__)] * under_resolved
+    direct = _direct_pulse_average(dsf.omega[probe_idx], q, tau, dsf)
+    np.testing.assert_allclose(fast, direct, rtol=0.0,
+                               atol=1e-12 * float(np.max(np.abs(direct))))
+
+
+def test_pulse_average_refusals(params, q_1, u_1, dsf_ref):
+    # The probes must be nodes of an np.linspace grid: a grid one ulp off it,
+    # an index outside [0, n) (n would wrap to node 0's row) or a float index
+    # is refused.
+    tau = bragg.default_tau(bogoliubov_dispersion(q_1, params.mu_tilde, RB87))
+    grid = dsf_ref.omega.copy()
+    grid[1000] = np.nextafter(grid[1000], np.inf)
+    with pytest.raises(ContractError, match="not uniform: a node lies"):
+        pulse_averaged_drive([1000], q_1, tau, dsf_lda(q_1, grid, params, u_1))
+    n = dsf_ref.omega.size
+    for bad in ([-1], [0, n], np.array([1000.0])):
+        with pytest.raises(ContractError, match="probe"):
+            pulse_averaged_drive(bad, q_1, tau, dsf_ref)
 
 
 def test_signal_off_resonant_rejection(params, q_1, dsf_ref):

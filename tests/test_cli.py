@@ -207,6 +207,9 @@ _FLOAT_RANGE = {
                        set(COMMAND_FILES) - {"potential"}),
     "lambda_c_small": ("lambda_c = 9.75 um\nh = 1 um", "lambda_c = 1e-300 m\nh = 0 um",
                        set(COMMAND_FILES)),
+    "lambda_c_huge": ("lambda_c = 9.75 um", "lambda_c = 1e308 m", set(COMMAND_FILES)),
+    # bdg refuses this one too, as a negative E^2 of the BdG spectrum.
+    "h_huge": ("h = 1 um", "h = 1e308 m", set(COMMAND_FILES) - {"bdg"}),
     "q": ("[numerics]", "[bragg]\nq = 1e300 rad/m\n[numerics]", {"dsf", "bragg"}),
     "v_b": ("[numerics]", "[bragg]\nv_b = 1e300\n[numerics]", {"bragg"}),
     "t_bec": ("atoms = 1e4", "atoms = 1e4\nt_bec = 1e-300 K", set(COMMAND_FILES)),
