@@ -50,7 +50,7 @@ def _probe_dsf(config: RunConfig, params, pot):
     or harmonic * k_c/2."""
     settings = config.bragg
     q = settings.q if settings.q is not None else settings.harmonic * pot.components[0].k_c / 2.0
-    matched = [t for t in pot.terms if abs(t.k / 2.0 - q) <= 1e-6 * max(q, t.k_c)]
+    matched = [t for t in pot.terms if abs(t.k / 2.0 - q) <= 1e-6 * t.k / 2.0]
     nonzero = [t for t in matched if t.u != 0.0]
     if len(nonzero) > 1:
         a, b = (f"harmonic {t.harmonic} of {('lambda_c', 'lambda_c2')[t.fundamental]} "

@@ -79,7 +79,8 @@ def perturbative_gaps(params: Quasi1DParams, pot: LateralPotential) -> GapReport
         n, q_n = term.harmonic, term.k / 2.0
         e_b = bogoliubov_dispersion(q_n, params.mu_tilde, params.species)
         with float_range(f"|U_{n}| / E_B(q_{n})"):
-            ratio = abs(term.u) / e_b
+            # In numpy: a Python float division overflows to inf without raising.
+            ratio = np.divide(abs(term.u), e_b)
         if ratio > 0.1:
             warnings.warn(
                 f"|U_{n}|/E_B(q_{n}) = {ratio:.3g} > 0.1: first-order gap formula "

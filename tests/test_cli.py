@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import sys
 import tempfile
 import warnings
@@ -208,8 +209,7 @@ _FLOAT_RANGE = {
     "lambda_c_small": ("lambda_c = 9.75 um\nh = 1 um", "lambda_c = 1e-300 m\nh = 0 um",
                        set(COMMAND_FILES)),
     "lambda_c_huge": ("lambda_c = 9.75 um", "lambda_c = 1e308 m", set(COMMAND_FILES)),
-    # bdg refuses this one too, as a negative E^2 of the BdG spectrum.
-    "h_huge": ("h = 1 um", "h = 1e308 m", set(COMMAND_FILES) - {"bdg"}),
+    "h_huge": ("h = 1 um", "h = 1e308 m", set(COMMAND_FILES)),
     "q": ("[numerics]", "[bragg]\nq = 1e300 rad/m\n[numerics]", {"dsf", "bragg"}),
     "v_b": ("[numerics]", "[bragg]\nv_b = 1e300\n[numerics]", {"bragg"}),
     "t_bec": ("atoms = 1e4", "atoms = 1e4\nt_bec = 1e-300 K", set(COMMAND_FILES)),
@@ -233,6 +233,17 @@ def test_float_range_refused_in_one_line(tmp_path, capsys, name):
         if code == 2:
             assert err.count("\n") == 1 and not out.exists(), (command, err)
         assert ("leaves the float range" in err) is (command in refused), (command, err)
+
+
+@pytest.mark.parametrize("command, quantity", [
+    ("potential", "the potential profile, x in um and U(x) in Hz"),
+    ("bdg", "|U_1| / E_B(q_1)"),  # before any BdG solve
+])
+def test_float_range_refusal_names_its_quantity(tmp_path, capsys, command, quantity):
+    config = tmp_path / "huge.cfg"
+    config.write_text(CONFIG.replace("h = 1 um", "h = 1e308 m"))
+    assert _run(command, str(config), tmp_path / "o") == 2
+    assert capsys.readouterr().err.startswith(f"{command}: {quantity} leaves the float range")
 
 
 @pytest.mark.parametrize("section, where", [
@@ -268,7 +279,11 @@ def test_non_finite_output_written_nowhere(config_path, tmp_path, capsys, monkey
     ("base", "[bragg]\nharmonic = 2\n", "probe q = 0.6444293 rad/um matches no Fourier term"),
     ("base", "", None),
     ("flat", "", None),  # its -0.0 terms still match
-], ids=["explicit", "harmonic2_on_one_harmonic", "base", "flat"])
+    # The match is 1e-6 relative to n k_c/2, the miss the warning prints.
+    ("base", f"[bragg]\nq = {math.pi / 9.75e-6 * (1.0 + 1.5e-6)!r} rad/m\n",
+     "misses it by 1.5e-06 relative, so the DSF is probed with U = 0"),
+    ("base", f"[bragg]\nq = {math.pi / 9.75e-6 * (1.0 - 0.9e-6)!r} rad/m\n", None),
+], ids=["explicit", "harmonic2_on_one_harmonic", "base", "flat", "miss_1.5e-6", "miss_0.9e-6"])
 def test_unmatched_probe_warns(tmp_path, name, bragg, message):
     config = tmp_path / "probe.cfg"
     config.write_text(golden_runs.CONFIGS[name] + "\n" + bragg)
