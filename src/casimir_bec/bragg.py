@@ -306,6 +306,10 @@ def pulse_averaged_drive(probe_idx, q: float, tau: float, dsf_pos: DsfSpectrum) 
 # Nodes with |w - w'| t_max below this are summed directly: in the
 # transform their weight S/(w - w') would cost digits to cancellation.
 _NEAR_NODE = 1e-3
+# The direct sum goes in blocks of times of at most this many (time, node)
+# cells: a pulse short against the grid span puts every node near, and
+# time_points x omega_points at their tops would be 1e12 cells.
+_NEAR_CELLS = 1 << 22
 
 
 def _uniform_step(omega: np.ndarray) -> float:
@@ -335,8 +339,10 @@ def _sin_sum(detuning: np.ndarray, step: float, times: np.ndarray,
     Centring on c keeps every phase that multiplies a large 1/D small.
     """
     near = np.abs(detuning) * times[-1] < _NEAR_NODE
-    total = times * (np.sinc(np.multiply.outer(times, detuning[near]) / math.pi)
-                     @ weights[near])
+    block = max(1, _NEAR_CELLS // max(1, int(near.sum())))
+    total = np.concatenate([
+        t * (np.sinc(np.multiply.outer(t, detuning[near]) / math.pi) @ weights[near])
+        for t in np.split(times, range(block, times.size, block))])
     if near.all():
         return total
     n, m = detuning.size, times.size

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C, HBAR, K_B
-from .errors import ConfigurationError, PhysicsDomainError, float_range
+from .errors import ConfigurationError, PhysicsDomainError
 from .species import AtomSpecies
 from .surface import SurfaceConfig
 
@@ -69,11 +69,9 @@ class Quasi1DParams:
 def derive_quasi1d(trap: TrapConfig, species: AtomSpecies) -> Quasi1DParams:
     """Close the TF relations N = integral of n1 and mu_tilde = m*omega_x^2*(l/2)^2/2."""
     m = species.mass
-    with float_range("the radial width sigma = sqrt(hbar / (m omega_r))"):
-        sigma = math.sqrt(HBAR / (m * trap.omega_r))
+    sigma = math.sqrt(HBAR / (m * trap.omega_r))
     g_eff = 2.0 * HBAR * trap.omega_r * species.scattering_length
-    with float_range("the TF half-length l/2 = (3 g_eff N / (2 m omega_x^2))^(1/3)"):
-        half_length = (3.0 * g_eff * trap.atom_number / (2.0 * m * trap.omega_x**2)) ** (1.0 / 3.0)
+    half_length = (3.0 * g_eff * trap.atom_number / (2.0 * m * trap.omega_x**2)) ** (1.0 / 3.0)
     mu_tilde = 0.5 * m * trap.omega_x**2 * half_length**2
     if not mu_tilde > 0.0:
         raise PhysicsDomainError(f"derived mu_tilde must be > 0, got {mu_tilde!r}")
@@ -130,16 +128,14 @@ def coherence_length(n1_peak: float, t_bec: float, species: AtomSpecies) -> floa
         raise PhysicsDomainError(f"condensate temperature must be > 0, got {t_bec!r}")
     if not n1_peak > 0.0:
         raise PhysicsDomainError(f"1D density must be > 0, got {n1_peak!r}")
-    with float_range("the coherence length L_phi = 2 n1 hbar^2 / (k_B T_BEC m)"):
-        return 2.0 * n1_peak * HBAR**2 / (K_B * t_bec * species.mass)
+    return 2.0 * n1_peak * HBAR**2 / (K_B * t_bec * species.mass)
 
 
 def thermal_wavelength(t_env: float) -> float:
     """Photon thermal wavelength hbar*c/(k_B*T)."""
     if not t_env > 0.0:
         raise PhysicsDomainError(f"environment temperature must be > 0, got {t_env!r}")
-    with float_range("the thermal photon wavelength hbar c / (k_B T_env)"):
-        return HBAR * C / (K_B * t_env)
+    return HBAR * C / (K_B * t_env)
 
 
 def regime_check(

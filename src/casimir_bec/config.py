@@ -16,7 +16,7 @@ Every physical value carries an explicit unit, e.g.::
 Frequencies in config files are ordinary frequencies (Hz); the package
 converts them to angular frequencies (x 2*pi) on ingestion.  Energy-like
 keys (u_n_offset) are also given in Hz and converted via E = 2*pi*hbar*f.
-Each key's kind, unit table, conversion and lower bound live in one table,
+Each key's kind, unit table, conversion and box [low, high] live in one table,
 ``_SCHEMA``.  Unknown keys are rejected; all problems with single keys in a
 file are reported at once, each with its line number.  A rule across keys
 or a check of the built dataclasses refuses at the line of the key at fault,
@@ -55,58 +55,60 @@ class _Key(NamedTuple):
     required: bool = False
     many: bool = False           # takes a comma-separated list
     post: Callable[[float], float] = float  # applied after the unit factor
-    minimum: float | None = None
-    strict: bool = False         # the minimum itself is refused
+    box: tuple[float, float] | None = None  # [low, high] in the table's base unit
 
 
 def _angular(frequency: float) -> float:
     return TWO_PI * frequency
 
 
-# A BdG basis needs one plane wave on each side and one q-point and band; a
-# sampled table needs two points; the DSF grid needs 8 (dsf_lda's own
-# floor).  The probe needs a positive wavenumber and pulse length; harmonic
-# n probes q = n*k_c/2.  A wavelength sets k_c = 2*pi/lambda.
+# Every numeric key lies in a closed box, in the base unit of its table (Hz
+# before the 2*pi, m, s, K, rad/m, m^3, kg), decades wider than any cold-atom
+# setup; README states each box and its reason.  A key that divides has its
+# low end away from 0.  Inside the boxes every derived quantity stays finite.
+# A BdG basis needs one plane wave on each side, a sampled table two points,
+# the DSF grid 8 (dsf_lda's own floor); the grid tops keep one run's arrays
+# in the hundreds of MB.
 _SCHEMA: dict[str, dict[str, _Key]] = {
     "species": {
         "name": _Key("string"),
-        "mass": _Key("mass"),
-        "scattering_length": _Key("length"),
-        "polarizability_volume": _Key("volume"),
-        "transition_wavelength": _Key("length"),
+        "mass": _Key("mass", box=(1e-28, 1e-22)),
+        "scattering_length": _Key("length", box=(1e-12, 1e-6)),
+        "polarizability_volume": _Key("volume", box=(1e-33, 1e-25)),
+        "transition_wavelength": _Key("length", box=(1e-9, 1e-3)),
     },
     "trap": {
-        "omega_r": _Key("frequency", required=True, post=_angular),
-        "omega_x": _Key("frequency", required=True, post=_angular),
-        "atoms": _Key("number", required=True),
-        "u_n_offset": _Key("frequency", post=frequency_to_energy),
-        "t_bec": _Key("temperature", minimum=0, strict=True),
+        "omega_r": _Key("frequency", required=True, post=_angular, box=(1.0, 1e7)),
+        "omega_x": _Key("frequency", required=True, post=_angular, box=(1e-3, 1e6)),
+        "atoms": _Key("number", required=True, box=(1.0, 1e12)),
+        "u_n_offset": _Key("frequency", post=frequency_to_energy, box=(-1e6, 1e6)),
+        "t_bec": _Key("temperature", box=(1e-12, 1e-2)),
     },
     "surface": {
-        "z_cm": _Key("length", required=True),
-        "lambda_c": _Key("length", required=True, minimum=0, strict=True),
-        "h": _Key("length", required=True, many=True),
-        "lambda_c2": _Key("length", minimum=0, strict=True),
-        "h2": _Key("length", many=True),
-        "eta_f": _Key("number"),
+        "z_cm": _Key("length", required=True, box=(1e-9, 10.0)),
+        "lambda_c": _Key("length", required=True, box=(1e-8, 1e-2)),
+        "h": _Key("length", required=True, many=True, box=(0.0, 1e-3)),
+        "lambda_c2": _Key("length", box=(1e-8, 1e-2)),
+        "h2": _Key("length", many=True, box=(0.0, 1e-3)),
+        "eta_f": _Key("number", box=(0.0, 1.0)),
         "response_file": _Key("string"),
-        "t_env": _Key("temperature", minimum=0, strict=True),
+        "t_env": _Key("temperature", box=(1e-6, 1e5)),
     },
     "bragg": {
-        "q": _Key("wavenumber", minimum=0, strict=True),
-        "harmonic": _Key("int", post=int, minimum=1),
-        "omega": _Key("frequency", post=_angular),
-        "v_b": _Key("number"),
-        "tau": _Key("time", minimum=0, strict=True),
+        "q": _Key("wavenumber", box=(1.0, 1e10)),
+        "harmonic": _Key("int", post=int, box=(1, 1000)),
+        "omega": _Key("frequency", post=_angular, box=(-1e9, 1e9)),
+        "v_b": _Key("number", box=(0.0, 1e6)),
+        "tau": _Key("time", box=(1e-9, 1e4)),
     },
     "numerics": {
-        "density_points": _Key("int", post=int, minimum=2),
-        "bdg_cutoff": _Key("int", post=int, minimum=1),
-        "bdg_bands": _Key("int", post=int, minimum=1),
-        "bdg_qpoints": _Key("int", post=int, minimum=1),
-        "omega_points": _Key("int", post=int, minimum=8),
-        "time_points": _Key("int", post=int, minimum=2),
-        "branch_points": _Key("int", post=int, minimum=2),
+        "density_points": _Key("int", post=int, box=(2, 1_000_000)),
+        "bdg_cutoff": _Key("int", post=int, box=(1, 1024)),
+        "bdg_bands": _Key("int", post=int, box=(1, 2049)),
+        "bdg_qpoints": _Key("int", post=int, box=(1, 10_000)),
+        "omega_points": _Key("int", post=int, box=(8, 1_000_000)),
+        "time_points": _Key("int", post=int, box=(2, 1_000_000)),
+        "branch_points": _Key("int", post=int, box=(2, 1_000_000)),
     },
 }
 
@@ -225,13 +227,13 @@ def _convert(raw: _RawValue, spec: _Key, where: str, errors: list[str]):
         if spec.kind == "int" and number != int(number):
             errors.append(f"{where}: expected an integer, got {piece!r}")
             return None
-        value = spec.post(number * unit_factor)
-        if spec.minimum is not None and (
-                value <= spec.minimum if spec.strict else value < spec.minimum):
-            errors.append(f"{where}: must be {'>' if spec.strict else '>='} {spec.minimum}, "
+        value, (low, high) = number * unit_factor, spec.box
+        if not low <= value <= high:
+            unit = next((f" {u}" for u, f in (table or {}).items() if f == 1.0), "")
+            errors.append(f"{where}: must lie in [{low:g}{unit}, {high:g}{unit}], "
                           f"got {raw.text}")
             return None
-        values.append(value)
+        values.append(spec.post(value))
     return values if spec.many else values[0]
 
 

@@ -1,8 +1,9 @@
-"""Exception types shared across the package, and the float-range guard that raises one."""
+"""Exception types shared across the package.
 
-from contextlib import contextmanager
-
-import numpy as np
+No computation guards the float range: a config keeps each input inside its
+box (``config._SCHEMA``), refused at its line, and ``run_scenario`` refuses a
+NaN or infinity in any output before it writes a file.
+"""
 
 
 class CasimirBecError(Exception):
@@ -31,13 +32,3 @@ class InstabilityError(CasimirBecError):
 
 class ContractError(CasimirBecError):
     """Mismatched inputs handed between pipeline stages."""
-
-
-@contextmanager
-def float_range(quantity: str):
-    """Refuse an overflow, a division by zero or a NaN in the block, naming `quantity`."""
-    try:
-        with np.errstate(divide="raise", over="raise", invalid="raise"):
-            yield
-    except ArithmeticError as exc:
-        raise PhysicsDomainError(f"{quantity} leaves the float range ({exc.args[-1]})") from exc

@@ -28,7 +28,7 @@ from .condensate import (
 from .config import RunConfig
 from .constants import HBAR, TWO_PI, energy_to_frequency
 from .emit import table, write_csv, write_json
-from .errors import ConfigurationError, PhysicsDomainError, float_range
+from .errors import ConfigurationError, PhysicsDomainError
 from .spectrum import band_branches, perturbative_gaps
 from .surface import lateral_coefficients, lateral_eval, load_tabulated_response
 
@@ -68,18 +68,16 @@ def _probe_dsf(config: RunConfig, params, pot):
                       f"the nearest zone edge with one, n k_c/2 = {edge * 1e-6:.7g} rad/um "
                       f"(n = {near.harmonic}), misses it by {abs(q - edge) / edge:.3g} relative, "
                       "so the DSF is probed with U = 0", stacklevel=2)
-    with float_range(f"the structure factor S(q, w) at the probe q = {q * 1e-6:.7g} rad/um"):
-        grid = default_lda_grid(params, q, abs(u_matched), n_points=config.numerics.omega_points)
-        return q, u_matched, dsf_lda(q, grid, params, u_matched)
+    grid = default_lda_grid(params, q, abs(u_matched), n_points=config.numerics.omega_points)
+    return q, u_matched, dsf_lda(q, grid, params, u_matched)
 
 
 def _potential_stage(config: RunConfig, params, pot):
     lam_max = max(c.wavelength for c in config.surface.fundamentals)
     x = np.linspace(0.0, lam_max, 513)
-    with float_range("the potential profile, x in um and U(x) in Hz"):
-        u_x = lateral_eval(pot, x)
-        profile = {"x_m": x, "x_um": x * 1e6, "U_J": u_x,
-                   "U_over_2pihbar_Hz": energy_to_frequency(u_x)}
+    u_x = lateral_eval(pot, x)
+    profile = {"x_m": x, "x_um": x * 1e6, "U_J": u_x,
+               "U_over_2pihbar_Hz": energy_to_frequency(u_x)}
     x_n, n1 = tf_axial_density(params, n_points=config.numerics.density_points)
     return [
         ("potential_coefficients.csv",
@@ -97,13 +95,12 @@ def _spectrum_stage(config: RunConfig, params, pot):
     n, entries = config.numerics.branch_points, gaps.entries
     # One slice per gap, stacked: n rows each, in gap order.
     detunings = [np.linspace(-e.k_c / 4.0, e.k_c / 4.0, n) for e in entries]
-    with float_range("a zone-edge branch E+-(q) in J or Hz"):
-        slices = [band_branches(params, pot, eps, harmonic=e.harmonic, fundamental=e.fundamental)
-                  for e, eps in zip(entries, detunings)]
-        e_minus, e_plus = np.ravel([s[0] for s in slices]), np.ravel([s[1] for s in slices])
-        branches = {"E_minus_J": e_minus, "E_plus_J": e_plus,
-                    "E_minus_Hz": energy_to_frequency(e_minus),
-                    "E_plus_Hz": energy_to_frequency(e_plus)}
+    slices = [band_branches(params, pot, eps, harmonic=e.harmonic, fundamental=e.fundamental)
+              for e, eps in zip(entries, detunings)]
+    e_minus, e_plus = np.ravel([s[0] for s in slices]), np.ravel([s[1] for s in slices])
+    branches = {"E_minus_J": e_minus, "E_plus_J": e_plus,
+                "E_minus_Hz": energy_to_frequency(e_minus),
+                "E_plus_Hz": energy_to_frequency(e_plus)}
     return [
         ("gap_table.csv", table(_GAP_COLUMNS, gap_rows), {}),
         ("band_branches.csv", {
@@ -183,8 +180,7 @@ def _bragg_stage(config: RunConfig, params, pot):
     omega = config.bragg.omega if config.bragg.omega is not None else e_b / HBAR
     tau = config.bragg.tau if config.bragg.tau is not None else default_tau(e_b)
     pulse = BraggPulse(q=q, omega=omega, v_b=config.bragg.v_b, tau=tau)
-    with float_range("the Bragg drive dP_X/dt"):
-        signal = bragg_signal(pulse, spectrum, n_time=config.numerics.time_points)
+    signal = bragg_signal(pulse, spectrum, n_time=config.numerics.time_points)
     probe = {"q_radpm": q, "omega_radps": omega, "tau_s": tau}
     return [
         ("bragg_signal.csv", {"t_s": signal.times, "dPdt": signal.dpdt, "P_X": signal.p_x},

@@ -28,7 +28,7 @@ from .condensate import (
     bogoliubov_dispersion,
     free_kinetic_energy,
 )
-from .errors import PhysicsDomainError, UnsupportedConfigurationError, float_range
+from .errors import PhysicsDomainError, UnsupportedConfigurationError
 from .species import AtomSpecies
 from .surface import LateralPotential
 
@@ -78,9 +78,7 @@ def perturbative_gaps(params: Quasi1DParams, pot: LateralPotential) -> GapReport
             continue
         n, q_n = term.harmonic, term.k / 2.0
         e_b = bogoliubov_dispersion(q_n, params.mu_tilde, params.species)
-        with float_range(f"|U_{n}| / E_B(q_{n})"):
-            # In numpy: a Python float division overflows to inf without raising.
-            ratio = np.divide(abs(term.u), e_b)
+        ratio = abs(term.u) / e_b
         if ratio > 0.1:
             warnings.warn(
                 f"|U_{n}|/E_B(q_{n}) = {ratio:.3g} > 0.1: first-order gap formula "

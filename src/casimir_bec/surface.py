@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .constants import C, HBAR
-from .errors import ConfigurationError, ExtrapolationError, PhysicsDomainError, float_range
+from .errors import ConfigurationError, ExtrapolationError, PhysicsDomainError
 from .species import AtomSpecies
 
 
@@ -124,11 +124,10 @@ def response_perfect(k, z: float, species: AtomSpecies):
         raise PhysicsDomainError(f"wavenumber must be >= 0, got {k!r}")
     if not z > 0.0:
         raise PhysicsDomainError(f"separation must be > 0, got {z!r}")
-    with float_range("the Casimir-Polder response g(k, z_cm)"):
-        big_z = k_arr * z
-        poly = 1.0 + big_z + (16.0 / 45.0) * big_z**2 + big_z**3 / 45.0
-        prefactor = -3.0 * HBAR * C * species.polarizability_volume / (8.0 * math.pi**2 * z**5)
-        g = prefactor * np.exp(-big_z) * poly
+    big_z = k_arr * z
+    poly = 1.0 + big_z + (16.0 / 45.0) * big_z**2 + big_z**3 / 45.0
+    prefactor = -3.0 * HBAR * C * species.polarizability_volume / (8.0 * math.pi**2 * z**5)
+    g = prefactor * np.exp(-big_z) * poly
     return float(g) if np.isscalar(k) or k_arr.ndim == 0 else g
 
 
@@ -209,7 +208,9 @@ def load_tabulated_response(path: str) -> Callable[[float, float], float]:
     """Load a rectangular (k, z) -> g grid and return a bilinear interpolator.
 
     File format: CSV with header ``k_radpm,z_m,g_Jpm``, rows in row-major
-    order (k outer, z inner), both axes strictly increasing, all values finite;
+    order (k outer, z inner), both axes strictly increasing, all values finite,
+    with 0 <= k <= 1e12 rad/m, 0 <= z <= 10 m (the z_cm box's top) and
+    |g| <= 1e3 J/m (ten decades above the perfect reflector at z = 1 nm);
     lines starting with '#' are comments.  A refusal names its file line.
     Queries outside the grid raise ExtrapolationError; there is no
     extrapolation.
@@ -238,6 +239,11 @@ def load_tabulated_response(path: str) -> Callable[[float, float], float]:
             raise ConfigurationError(f"{path}:{lineno}: {exc}") from None
         if not all(map(math.isfinite, rows[-1])):
             raise ConfigurationError(f"{path}:{lineno}: values must be finite, got {','.join(row)!r}")
+        k, z, g = rows[-1]
+        if not (0.0 <= k <= 1e12 and 0.0 <= z <= 10.0 and abs(g) <= 1e3):
+            raise ConfigurationError(
+                f"{path}:{lineno}: k_radpm must lie in [0, 1e12], z_m in [0, 10] and "
+                f"|g_Jpm| in [0, 1000], got {','.join(row)!r}")
     if not rows:
         raise ConfigurationError(f"{path}: empty response table")
 

@@ -4,16 +4,18 @@ import contextlib
 import io
 import json
 import math
+import re
 import sys
 import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from casimir_bec.cli import main
+from casimir_bec.config import _SCHEMA, _UNIT_TABLES
 from casimir_bec.emit import read_csv
 
 import golden_runs
@@ -109,6 +111,7 @@ def test_bdg_command_commensurate_5_4_is_stable(tmp_path):
     ("bdg_qpoints = 0", "bdg_qpoints"),
     ("bdg_cutoff = 0", "bdg_cutoff"),
     ("bdg_cutoff = 3", "bdg_cutoff"),  # 7 plane waves, 8 default bands
+    ("bdg_cutoff = 1e15", "bdg_cutoff"),  # refused before any matrix is allocated
 ])
 def test_bdg_numerics_out_of_range_refused(tmp_path, capsys, numerics, key):
     config = tmp_path / "bad.cfg"
@@ -130,6 +133,7 @@ def test_bdg_numerics_out_of_range_refused(tmp_path, capsys, numerics, key):
     ("omega_points = 7", "omega_points", "spectrum"),
     ("omega_points = 7", "omega_points", "potential"),
     ("omega_points = 0", "omega_points", "dsf"),
+    ("omega_points = 1e15", "omega_points", "dsf"),  # refused before any grid is allocated
     ("harmonic = 0", "harmonic", "bragg"),
     ("harmonic = 0", "harmonic", "dsf"),
     ("harmonic = -1", "harmonic", "bragg"),
@@ -152,8 +156,7 @@ def test_numerics_out_of_range_refused(tmp_path, capsys, numerics, key, command)
     assert _run(command, str(config), tmp_path / "o") == 2
     err = capsys.readouterr().err
     assert "configuration error" in err
-    bound = ">" if key in ("q", "tau") else ">="
-    assert f"bad.cfg:13: [{section}] {key}: must be {bound} " in err  # the line that set it
+    assert f"bad.cfg:13: [{section}] {key}: must lie in [" in err  # the line that set it
     assert not (tmp_path / "o").exists()
 
 
@@ -199,40 +202,37 @@ def test_zero_drive_keeps_the_grid_checks(config_path, tmp_path, capsys):
     assert {str(row[columns.index("dPdt")]) for row in rows} == {"0.0"}
 
 
-# One input of the reference config so extreme that a derived quantity leaves
-# the float range, and the commands that refuse it for that reason.
+# One input of the reference config so extreme that a derived quantity once
+# left the float range, and the line of CONFIG that now refuses it.
 _FLOAT_RANGE = {
-    "omega_x": ("omega_x = 0.83 Hz", "omega_x = 1e-300 Hz", set(COMMAND_FILES)),
-    "z_cm": ("z_cm = 3 um", "z_cm = 1e-300 m", set(COMMAND_FILES)),
-    "lambda_c_large": ("lambda_c = 9.75 um", "lambda_c = 1e300 m",
-                       set(COMMAND_FILES) - {"potential"}),
+    "omega_x": ("omega_x = 0.83 Hz", "omega_x = 1e-300 Hz", "4: [trap] omega_x"),
+    "z_cm": ("z_cm = 3 um", "z_cm = 1e-300 m", "8: [surface] z_cm"),
+    "lambda_c_large": ("lambda_c = 9.75 um", "lambda_c = 1e300 m", "9: [surface] lambda_c"),
     "lambda_c_small": ("lambda_c = 9.75 um\nh = 1 um", "lambda_c = 1e-300 m\nh = 0 um",
-                       set(COMMAND_FILES)),
-    "lambda_c_huge": ("lambda_c = 9.75 um", "lambda_c = 1e308 m", set(COMMAND_FILES)),
-    "h_huge": ("h = 1 um", "h = 1e308 m", set(COMMAND_FILES)),
-    "q": ("[numerics]", "[bragg]\nq = 1e300 rad/m\n[numerics]", {"dsf", "bragg"}),
-    "v_b": ("[numerics]", "[bragg]\nv_b = 1e300\n[numerics]", {"bragg"}),
-    "t_bec": ("atoms = 1e4", "atoms = 1e4\nt_bec = 1e-300 K", set(COMMAND_FILES)),
-    "t_env": ("h = 1 um", "h = 1 um\nt_env = 1e-310 K", set(COMMAND_FILES)),
+                       "9: [surface] lambda_c"),
+    "lambda_c_huge": ("lambda_c = 9.75 um", "lambda_c = 1e308 m", "9: [surface] lambda_c"),
+    "h_huge": ("h = 1 um", "h = 1e308 m", "10: [surface] h"),
+    "q": ("[numerics]", "[bragg]\nq = 1e300 rad/m\n[numerics]", "13: [bragg] q"),
+    "v_b": ("[numerics]", "[bragg]\nv_b = 1e300\n[numerics]", "13: [bragg] v_b"),
+    "t_bec": ("atoms = 1e4", "atoms = 1e4\nt_bec = 1e-300 K", "6: [trap] t_bec"),
+    "t_env": ("h = 1 um", "h = 1 um\nt_env = 1e-310 K", "11: [surface] t_env"),
 }
 
 
 @pytest.mark.parametrize("name", list(_FLOAT_RANGE))
 def test_float_range_refused_in_one_line(tmp_path, capsys, name):
-    # Exit 0 or 2, never an exception; a refusal is one stderr line naming
-    # the quantity and leaves no directory.
-    old, new, refused = _FLOAT_RANGE[name]
+    # Every command refuses the value at its line, as one configuration
+    # error, and leaves no directory.
+    old, new, where = _FLOAT_RANGE[name]
     config = tmp_path / "extreme.cfg"
     config.write_text(CONFIG.replace(old, new, 1))
     for command in COMMAND_FILES:
         out = tmp_path / command
-        code = _run(command, str(config), out)
-        err = capsys.readouterr().err
-        assert code in (0, 2), (command, code)
-        assert "Traceback" not in err
-        if code == 2:
-            assert err.count("\n") == 1 and not out.exists(), (command, err)
-        assert ("leaves the float range" in err) is (command in refused), (command, err)
+        assert _run(command, str(config), out) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2 and lines[0] == "configuration error:", (command, lines)
+        assert lines[1].startswith(f"{config}:{where}: must lie in ["), (command, lines)
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command, quantity", [
@@ -240,10 +240,14 @@ def test_float_range_refused_in_one_line(tmp_path, capsys, name):
     ("bdg", "|U_1| / E_B(q_1)"),  # before any BdG solve
 ])
 def test_float_range_refusal_names_its_quantity(tmp_path, capsys, command, quantity):
+    # h = 1e308 m once drove `quantity` out of the float range; its box now
+    # refuses it at its line.
     config = tmp_path / "huge.cfg"
     config.write_text(CONFIG.replace("h = 1 um", "h = 1e308 m"))
     assert _run(command, str(config), tmp_path / "o") == 2
-    assert capsys.readouterr().err.startswith(f"{command}: {quantity} leaves the float range")
+    assert capsys.readouterr().err == (
+        f"configuration error:\n{config}:10: [surface] h: must lie in [0 m, 0.001 m], "
+        "got 1e308 m\n")
 
 
 @pytest.mark.parametrize("section, where", [
@@ -399,14 +403,14 @@ def test_runtime_error_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("old, new, where", [
-    ("z_cm = 3 um", "z_cm = 0 um", "bad.cfg:6: [surface] surface separation"),
-    ("atoms = 1e4", "atoms = 0", "bad.cfg:1: [trap] atom number"),
-    ("omega_r = 2.7 kHz", "omega_r = 0 kHz", "bad.cfg:1: [trap] trap frequencies"),
-    ("h = 1 um", "h = -0.1 um", "bad.cfg:6: [surface] corrugation amplitudes"),
-    ("h = 1 um", "h = 1 um\neta_f = 1.5", "bad.cfg:6: [surface] eta_f must lie in [0, 1]"),
-    ("h = 1 um", "h = 1 um\n[species]\nmass = -1 kg", "bad.cfg:10: [species] species 'rb87'"),
-    ("h = 1 um", "h = 1 um\nt_env = 0 K", "bad.cfg:10: [surface] t_env: must be > 0"),
-    ("atoms = 1e4", "atoms = 1e4\nt_bec = 0 K", "bad.cfg:5: [trap] t_bec: must be > 0"),
+    ("z_cm = 3 um", "z_cm = 0 um", "bad.cfg:7: [surface] z_cm: must lie in [1e-09 m, 10 m]"),
+    ("atoms = 1e4", "atoms = 0", "bad.cfg:4: [trap] atoms: must lie in [1, 1e+12], got 0"),
+    ("omega_r = 2.7 kHz", "omega_r = 0 kHz", "bad.cfg:2: [trap] omega_r: must lie in [1 Hz, "),
+    ("h = 1 um", "h = -0.1 um", "bad.cfg:9: [surface] h: must lie in [0 m, 0.001 m], got -0.1 um"),
+    ("h = 1 um", "h = 1 um\neta_f = 1.5", "bad.cfg:10: [surface] eta_f: must lie in [0, 1], got 1.5"),
+    ("h = 1 um", "h = 1 um\n[species]\nmass = -1 kg", "bad.cfg:11: [species] mass: must lie in ["),
+    ("h = 1 um", "h = 1 um\nt_env = 0 K", "bad.cfg:10: [surface] t_env: must lie in [1e-06 K, "),
+    ("atoms = 1e4", "atoms = 1e4\nt_bec = 0 K", "bad.cfg:5: [trap] t_bec: must lie in [1e-12 K, "),
     ("h = 1 um", "h = 1 um\neta_f = 0.5\nresponse_file = g.csv",
      "bad.cfg:10: [surface] give eta_f or response_file, not both"),
     # One spelling per input: a wavenumber, a species section and a second
@@ -602,13 +606,103 @@ def _fuzz_configs(draw):
     return "".join(f"[{name}]\n" + "\n".join(lines) + "\n" for name, lines in sections.items())
 
 
+# Refusals of a config that parses, each by the limit it names.
+_NAMED_REFUSALS = (
+    ">= 2*T_q = ",                      # |U| >= 2 T_q: the upper LDA branch is not monotone
+    "BdG spectrum has a negative E^2",  # InstabilityError
+    "are not commensurate as p/r",      # two fundamentals with no common Bloch period
+    "DSF support is clipped",           # names its cure, [numerics] omega_points
+)
+
+
+def _run_or_refuse(command, text):
+    """Run `command` on config `text`: exit 0, or exit 2 with every
+    configuration error at a line of the file, or one named refusal."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.cfg"
+        path.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = _run(command, str(path), Path(tmp) / "out")
+        err = err.getvalue()
+        assert code in (0, 2), (code, err)
+        assert "leaves the float range" not in err, err
+        if code == 0:
+            return
+        assert not (Path(tmp) / "out").exists()
+        lines = [line for line in err.splitlines() if not line.startswith("warning: ")]
+        if lines[0] == "configuration error:":
+            assert lines[1:] and all(re.match(rf"{re.escape(str(path))}:\d+: ", line)
+                                     for line in lines[1:]), err
+        else:
+            assert len(lines) == 1 and lines[0].startswith(f"{command}: "), err
+            assert any(name in lines[0] for name in _NAMED_REFUSALS), err
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(command=st.sampled_from(sorted(COMMAND_FILES)), text=_fuzz_configs())
 def test_fuzzed_configs_run_or_refuse(command, text):
     # Every config either runs (0) or is refused (2); exit 1 is reserved for
     # validation failure, and no exception may escape main.
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "fuzz.cfg"
-        path.write_text(text)
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            assert _run(command, str(path), Path(tmp) / "out") in (0, 2)
+    _run_or_refuse(command, text)
+
+
+# Every boxed key outside [numerics], by name: (section, its _Key).
+_BOXED = {key: (section, spec) for section, keys in _SCHEMA.items() if section != "numerics"
+          for key, spec in keys.items() if spec.box is not None}
+
+
+def _corner_text(corner):
+    """golden_runs.BASE with each key of `corner` at the "low" or "high" end
+    of its box, written in the base unit of its table."""
+    text = golden_runs.BASE
+    for key, end in corner.items():
+        section, spec = _BOXED[key]
+        unit = [u for u, factor in _UNIT_TABLES.get(spec.kind, {}).items() if factor == 1.0][:1]
+        line = " ".join([f"{key} = {spec.box[end == 'high']!r}", *unit])
+        if re.search(rf"^{key} = ", text, flags=re.M):
+            text = re.sub(rf"^{key} = .*$", line, text, flags=re.M)
+        elif f"[{section}]\n" in text:
+            text = text.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+        else:
+            text = f"[{section}]\n{line}\n" + text
+    return text
+
+
+@st.composite
+def _corners(draw):
+    """Each boxed key absent or at an end of its box; q or harmonic, and
+    lambda_c2 with h2."""
+    corner = {key: end for key in _BOXED
+              if (end := draw(st.sampled_from([None, "low", "high"]))) is not None}
+    if "q" in corner:
+        corner.pop("harmonic", None)
+    if ("lambda_c2" in corner) != ("h2" in corner):
+        corner.pop("lambda_c2", None), corner.pop("h2", None)
+    return corner
+
+
+# One example per computation that once ran under a float-range guard, at
+# the corner that pushes its quantity furthest.
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(corner=_corners())
+@example(corner={"mass": "low", "omega_r": "low"})  # the radial width sigma
+@example(corner={"omega_r": "high", "scattering_length": "high", "atoms": "high",
+                 "mass": "low", "omega_x": "low"})  # the TF half-length l/2
+@example(corner={"t_bec": "low", "mass": "low", "atoms": "high", "omega_x": "high",
+                 "omega_r": "low", "scattering_length": "low"})  # the coherence length
+@example(corner={"t_env": "low"})  # the thermal photon wavelength
+@example(corner={"z_cm": "low", "polarizability_volume": "high"})  # g(k, z_cm)
+@example(corner={"h": "high", "z_cm": "low", "polarizability_volume": "high",
+                 "lambda_c": "high", "mass": "high"})  # |U_n| / E_B(q_n)
+@example(corner={"q": "high", "mass": "low"})  # S(q, w) at the probe
+@example(corner={"h": "high", "z_cm": "low", "polarizability_volume": "high",
+                 "lambda_c": "low"})  # the potential profile in Hz
+@example(corner={"lambda_c": "low", "mass": "low", "h": "high"})  # a zone-edge branch
+@example(corner={"v_b": "high", "q": "high", "tau": "high"})  # the Bragg drive
+def test_box_corners_run_or_refuse_by_name(corner):
+    # pyproject.toml makes a RuntimeWarning an error here, so an overflow,
+    # a division by zero or a NaN anywhere in a run fails it.
+    text = _corner_text(corner)
+    for command in COMMAND_FILES:
+        _run_or_refuse(command, text)

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from casimir_bec import ConfigurationError, frequency_to_energy
-from casimir_bec.config import parse_config, parse_config_text
+from casimir_bec.config import _SCHEMA, parse_config, parse_config_text
 
 GOOD = """
 [species]
@@ -91,7 +91,7 @@ def test_unit_mismatch_named():
 
 def test_eta_range_rejected():
     bad = GOOD.replace("eta_f = 0.9", "eta_f = 1.2")
-    with pytest.raises(ConfigurationError, match=r"eta_f must lie in \[0, 1\]"):
+    with pytest.raises(ConfigurationError, match=r"eta_f: must lie in \[0, 1\], got 1.2"):
         parse_config_text(bad)
 
 
@@ -100,28 +100,39 @@ def test_line_numbers_in_errors():
     with pytest.raises(ConfigurationError, match=r":\d+: \[surface\] z_cm"):
         parse_config_text(bad)
     bad = GOOD.replace("lambda_c = 9.75 um", "lambda_c = 0 um")
-    with pytest.raises(ConfigurationError, match=r":13: \[surface\] lambda_c: must be > 0"):
+    with pytest.raises(ConfigurationError,
+                       match=r":13: \[surface\] lambda_c: must lie in \[1e-08 m, 0\.01 m\], got 0 um"):
         parse_config_text(bad)
-    # Temperatures are refused at parse time, at the line that set them.
+    # A value outside its box is refused at parse time, at the line that set it.
     for old, new, where in (
-        ("t_env = 300 K", "t_env = 0 K", r":16: \[surface\] t_env: must be > 0"),
+        ("t_env = 300 K", "t_env = 0 K", r":16: \[surface\] t_env: must lie in"),
         ("u_n_offset = 10 Hz", "u_n_offset = 10 Hz\nt_bec = 0 K",
-         r":10: \[trap\] t_bec: must be > 0"),
-    ):
-        with pytest.raises(ConfigurationError, match=where):
-            parse_config_text(GOOD.replace(old, new))
-    # A dataclass refusal names its section's header line.
-    for old, new, where in (
-        ("z_cm = 3 um", "z_cm = 0 um", r"t\.cfg:11: \[surface\] surface separation must be > 0"),
-        ("atoms = 1e4", "atoms = 0", r"t\.cfg:5: \[trap\] atom number must be >= 1"),
-        ("omega_r = 2.7 kHz", "omega_r = 0 kHz", r"t\.cfg:5: \[trap\] trap frequencies"),
-        ("h = 1 um", "h = -0.1 um", r"t\.cfg:11: \[surface\] corrugation amplitudes"),
-        ("eta_f = 0.9", "eta_f = 1.5", r"t\.cfg:11: \[surface\] eta_f must lie in \[0, 1\]"),
+         r":10: \[trap\] t_bec: must lie in"),
+        ("z_cm = 3 um", "z_cm = 0 um", r"t\.cfg:12: \[surface\] z_cm: must lie in"),
+        ("atoms = 1e4", "atoms = 0", r"t\.cfg:8: \[trap\] atoms: must lie in \[1, 1e\+12\]"),
+        ("omega_r = 2.7 kHz", "omega_r = 0 kHz", r"t\.cfg:6: \[trap\] omega_r: must lie in"),
+        ("h = 1 um", "h = -0.1 um", r"t\.cfg:14: \[surface\] h: must lie in"),
+        ("eta_f = 0.9", "eta_f = 1.5", r"t\.cfg:15: \[surface\] eta_f: must lie in \[0, 1\]"),
         ("name = rb87", "name = rb87\nmass = -1 kg",
-         r"t\.cfg:2: \[species\] species 'rb87': mass must be positive"),
+         r"t\.cfg:4: \[species\] mass: must lie in \[1e-28 kg, 1e-22 kg\], got -1 kg"),
     ):
         with pytest.raises(ConfigurationError, match=where):
             parse_config_text(GOOD.replace(old, new), path="t.cfg")
+
+
+@pytest.mark.parametrize("key", [
+    "density_points", "bdg_cutoff", "bdg_bands", "bdg_qpoints", "omega_points", "time_points",
+    "branch_points"])
+def test_numerics_top_refused_at_parse_time(key):
+    # Each grid size is parsed at the top of its box and refused one above
+    # it, at its line; nothing is run, so nothing is allocated.
+    high = _SCHEMA["numerics"][key].box[1]
+    text = GOOD.replace("omega_points = 501\n", "bdg_cutoff = 1024\n" * (key == "bdg_bands"))
+    assert getattr(parse_config_text(text + f"{key} = {high}\n").numerics, key) == high
+    line = text.count("\n") + 1
+    with pytest.raises(ConfigurationError,
+                       match=rf"^<string>:{line}: \[numerics\] {key}: must lie in \[\d+, "):
+        parse_config_text(text + f"{key} = {high + 1}\n")
 
 
 def test_eta_f_and_response_file_exclusive():

@@ -32,7 +32,12 @@ CASES = {
             ("configuration error:", "{config}:8: [surface] k_c: unknown key",
              "{config}:6: [surface] missing keys: lambda_c"), False),
     "omega_x": (("omega_x = 0.83 Hz", "omega_x = 1e-300 Hz"), "potential", 2,
-                ("potential: the TF half-length l/2",), False),
+                ("configuration error:",
+                 "{config}:3: [trap] omega_x: must lie in [0.001 Hz, 1e+06 Hz], got 1e-300 Hz"),
+                False),
+    "strong": (("z_cm = 3 um\nlambda_c = 9.75 um\nh = 1 um",
+                "z_cm = 0.35 um\nlambda_c = 9.75 um\nh = 0.3 um"), "dsf", 2,
+               ("dsf: |U| = 3.222e-30 J >= 2*T_q = 8.001e-33 J: the upper LDA branch",), False),
     "probe": (("[numerics]", "[bragg]\nq = 0.3222 rad/um\n\n[numerics]"), "dsf", 0,
               ("warning: UserWarning: probe q = 0.3222 rad/um matches no Fourier term",), True),
 }

@@ -297,6 +297,11 @@ def test_tabulated_refusal_names_the_file_line(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigurationError, match=r"c\.csv:5: values must be finite, got '1,2,nan'"):
         load_tabulated_response(str(path))
+    lines[4] = "1,2,-1e300"  # finite, but no response: outside the |g| box
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigurationError, match=r"c\.csv:5: k_radpm must lie in \[0, 1e12\], "
+                       r"z_m in \[0, 10\] and \|g_Jpm\| in \[0, 1000\], got '1,2,-1e300'"):
+        load_tabulated_response(str(path))
 
 
 def test_tabulated_unparsable_field_refused(tmp_path):
