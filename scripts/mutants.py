@@ -72,6 +72,9 @@ MUTANTS = (
            "keep[0], keep[14] = np.signbit(x), ae >= 100",
            "keep[0], keep[14] = False, ae >= 100",
            ("tests/test_emit.py",)),
+    Mutant("CSV hazard cells keep the rint mantissa, not their own '%.9e' digits", "emit.py",
+           "d[hazard] = [int(t[0] + t[2:11]) for t in texts]", "d[hazard] = d[hazard]",
+           ("tests/test_emit.py::test_array_formatter_matches_per_cell_writer_at_its_hazards",)),
     Mutant("config box upper bound dropped", "config.py",
            "if not low <= value <= high:", "if not low <= value:",
            ("tests/test_cli.py::test_float_range_refused_in_one_line",)),
@@ -79,6 +82,10 @@ MUTANTS = (
            '"t_env": _Key("temperature", box=(1e-6, 1e5)),',
            '"t_env": _Key("temperature", box=(0.0, 1e5)),',
            ("tests/test_cli.py::test_box_corners_run_or_refuse_by_name",)),
+    Mutant("eta_f box widened in _SCHEMA only, not in the README", "config.py",
+           '"eta_f": _Key("number", box=(0.0, 1.0)),',
+           '"eta_f": _Key("number", box=(0.0, 2.0)),',
+           ("tests/test_readme.py::test_readme_box_table_matches_schema",)),
     Mutant("response-table |g| box dropped", "surface.py",
            "abs(g) <= 1e3", "abs(g) <= math.inf",
            ("tests/test_surface.py::test_tabulated_refusal_names_the_file_line",)),

@@ -5,9 +5,9 @@
 
 The commands are the stages of ``pipeline.STAGES``.
 
-Exit codes: 0 success, 1 validation failure, 2 configuration error or an
-output directory that cannot be written.  Warnings print to stderr as
-``warning: <Category>: <message>``.
+Exit codes: 0 success, 1 validation failure, 2 configuration error, an
+output directory that cannot be written, or a run out of memory.  Warnings
+print to stderr as ``warning: <Category>: <message>``.
 """
 
 from __future__ import annotations
@@ -103,6 +103,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         # Unreadable inputs are ConfigurationErrors; what is left is the output.
         print(f"{args.command}: cannot write output: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # A backstop: the config boxes keep a run's arrays in the hundreds of MB.
+        print(f"{args.command}: out of memory: {exc}", file=sys.stderr)
         return 2
     finally:
         warnings.formatwarning = python_format

@@ -53,7 +53,7 @@ class _Key(NamedTuple):
 
     kind: str                    # a unit table, or "number", "int", "string"
     required: bool = False
-    many: bool = False           # takes a comma-separated list
+    many: int = 1                # the most values of a comma-separated list
     post: Callable[[float], float] = float  # applied after the unit factor
     box: tuple[float, float] | None = None  # [low, high] in the table's base unit
 
@@ -68,7 +68,7 @@ def _angular(frequency: float) -> float:
 # low end away from 0.  Inside the boxes every derived quantity stays finite.
 # A BdG basis needs one plane wave on each side, a sampled table two points,
 # the DSF grid 8 (dsf_lda's own floor); the grid tops keep one run's arrays
-# in the hundreds of MB.
+# in the hundreds of MB.  An amplitude list holds at most 64 harmonics.
 _SCHEMA: dict[str, dict[str, _Key]] = {
     "species": {
         "name": _Key("string"),
@@ -87,9 +87,9 @@ _SCHEMA: dict[str, dict[str, _Key]] = {
     "surface": {
         "z_cm": _Key("length", required=True, box=(1e-9, 10.0)),
         "lambda_c": _Key("length", required=True, box=(1e-8, 1e-2)),
-        "h": _Key("length", required=True, many=True, box=(0.0, 1e-3)),
+        "h": _Key("length", required=True, many=64, box=(0.0, 1e-3)),
         "lambda_c2": _Key("length", box=(1e-8, 1e-2)),
-        "h2": _Key("length", many=True, box=(0.0, 1e-3)),
+        "h2": _Key("length", many=64, box=(0.0, 1e-3)),
         "eta_f": _Key("number", box=(0.0, 1.0)),
         "response_file": _Key("string"),
         "t_env": _Key("temperature", box=(1e-6, 1e5)),
@@ -211,8 +211,11 @@ def _convert(raw: _RawValue, spec: _Key, where: str, errors: list[str]):
         unit_factor, number_text = 1.0, raw.text
 
     pieces = [p.strip() for p in number_text.split(",")]
-    if len(pieces) > 1 and not spec.many:
+    if len(pieces) > 1 and spec.many == 1:
         errors.append(f"{where}: a single value is expected, got a list {raw.text!r}")
+        return None
+    if len(pieces) > spec.many:
+        errors.append(f"{where}: at most {spec.many} values, got {len(pieces)}")
         return None
     values = []
     for piece in pieces:
@@ -234,7 +237,7 @@ def _convert(raw: _RawValue, spec: _Key, where: str, errors: list[str]):
                           f"got {raw.text}")
             return None
         values.append(spec.post(value))
-    return values if spec.many else values[0]
+    return values if spec.many > 1 else values[0]
 
 
 def _is_number_like(token: str) -> bool:

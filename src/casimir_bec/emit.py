@@ -8,15 +8,16 @@ bool true/false, else %s.  Identical inputs give byte-identical files: no
 timestamps, no environment-dependent content.
 
 Each column is formatted as one array operation into fixed-width uint8
-slots; the rows are joined once and the unused slots dropped once.  A float
-becomes an integer mantissa d = rint(|x| 10^(9 - e)) with e = floor(log10
-|x|), written digit by digit with its sign and exponent.  Where that could
-differ from '%.9e' (non-finite or extreme values, a mantissa near a rounding
-tie, log10 a decade off) the value takes '%.9e' itself, so the text is byte
-for byte '%.9e' % v.  Integers are written from their digits the same way;
-only a magnitude beyond int64 takes '%d'.  A table of fewer than 64 rows,
-where the fixed cost of the array pass outweighs it, takes the per-value
-format in every cell.
+slots; the rows are joined once and the unused slots dropped once.  A finite
+float becomes its 10-digit integer mantissa d and exponent e, written digit
+by digit with its sign: d = rint(|x| 10^(9 - e)) with e = floor(log10 |x|),
+or, where that could differ from '%.9e' (extreme values, a mantissa near a
+rounding tie, log10 a decade off), d and e read from the value's own '%.9e'
+text, so the text is byte for byte '%.9e' % v.  Integers are written from
+their digits the same way.  A column holding a non-finite float or an
+integer of magnitude beyond int64, and every column of a table of fewer than
+64 rows (where the fixed cost of the array pass outweighs it), takes the
+per-value format in every cell.
 """
 
 from __future__ import annotations
@@ -73,59 +74,33 @@ def _text_slots(texts: list[str]):
     return slots, None if keep.all() else keep
 
 
-def _per_column(slots, keep, fast, columns):
-    """Split the slots (slot, column, cell) of a block of columns into each
-    column's slots and mask (None when every slot is filled): the slot rows
-    some fast cell of the column fills, and the per-value text in its other
-    cells, all cells widened to the widest."""
-    used = (keep & fast).any(axis=2)
-    filled = ~(~keep & used[:, :, None]).any(axis=(0, 2))
-    out = []
-    for j, (rows, full, all_fast) in enumerate(zip(used.T, filled.tolist(),
-                                                   fast.all(axis=1).tolist())):
-        column_slots, column_keep = slots[rows, j], None if full else keep[rows, j]
-        if not all_fast:
-            rest = np.flatnonzero(~fast[j])
-            text, text_keep = _text_slots([_cell_text(v, columns[j].dtype.kind)
-                                           for v in columns[j][rest].tolist()])
-            if column_keep is None:
-                column_keep = np.ones(column_slots.shape, bool)
-            if text_keep is None:
-                text_keep = np.ones(text.shape, bool)
-            width = max(len(column_slots), len(text))
-            column_slots, column_keep, text, text_keep = (
-                np.pad(a, ((0, width - len(a)), (0, 0)))
-                for a in (column_slots, column_keep, text, text_keep))
-            column_slots[:, rest], column_keep[:, rest] = text, text_keep
-        out.append((column_slots, column_keep))
-    return out
-
-
 def _decimal(x):
-    """(d, e, fast): x = ±d 10^(e - 9) with e = floor(log10 |x|) and the
-    10-digit integer d = rint(|x| 10^(9 - e)) (d = e = 0 for a zero), and
-    whether that is '%.9e' exactly.  It may not be for a non-finite value, a
-    nonzero |x| outside [1e-290, 1e290], a mantissa within 1e-5 of a rounding
-    tie, or d outside [1e9, 1e10) (log10 a decade off); there d is 0."""
+    """(d, e) of finite x: x = ±d 10^(e - 9) with e = floor(log10 |x|) and the
+    10-digit integer d of '%.9e' % x (d = e = 0 for a zero).  d is rint(|x|
+    10^(9 - e)) except where that may not be '%.9e': a nonzero |x| outside
+    [1e-290, 1e290], a mantissa within 1e-5 of a rounding tie, or d outside
+    [1e9, 1e10) (log10 a decade off); there d and e are read from the value's
+    own '%.9e' text."""
     a = np.abs(x)
     normal = (a >= 1e-290) & (a <= 1e290)
     e = np.floor(np.log10(np.where(normal, a, 1.0)))
     scaled = np.where(normal, a, 0.0) * 10.0 ** (9.0 - e)
     d = np.rint(scaled)
     # |scaled - d| > 0.5 - 1e-5 is a mantissa within 1e-5 of a rounding tie.
-    fast = (a == 0) | normal & (np.abs(scaled - d) <= 0.5 - 1e-5) & (d >= 1e9) & (d < 1e10)
-    return np.where(fast, d, 0.0), e.astype(np.int16), fast
+    hazard = (a != 0) & ~(normal & (np.abs(scaled - d) <= 0.5 - 1e-5) & (d >= 1e9) & (d < 1e10))
+    texts = ["%.9e" % v for v in a[hazard].tolist()]  # D.DDDDDDDDDe±XX[X]
+    d[hazard] = [int(t[0] + t[2:11]) for t in texts]
+    e[hazard] = [int(t[12:]) for t in texts]
+    return d, e.astype(np.int16)
 
 
 def _float_slots(columns):
-    """'%.9e' of float columns as one array operation: sign, the digits of d,
-    'e' and the exponent with at least 2 digits (see _decimal); the other
-    cells take '%.9e' itself.  Returns (slots, mask) per column."""
-    # astype(float): '%.9e' formats a float32 or longdouble as float(v); a
-    # signalling NaN stays a NaN.
-    with np.errstate(invalid="ignore"):
-        x = np.array([c.astype(float) for c in columns])
-    d, e, fast = _decimal(x)
+    """'%.9e' of finite float columns as one array operation: sign, the
+    digits of d, 'e' and the exponent with at least 2 digits (see _decimal).
+    Returns the slots (slot, column, cell) and the mask of those filled."""
+    # astype(float): '%.9e' formats a float32 or longdouble as float(v).
+    x = np.array([c.astype(float) for c in columns])
+    d, e = _decimal(x)
     slots = np.empty((17, *x.shape), np.uint8)
     slots[[0, 2, 12]] = np.array([ord("-"), ord("."), ord("e")], np.uint8)[:, None, None]
     # The 10 digits of d, from two 5-digit int32 halves, go to slots 1 and 3-11.
@@ -138,15 +113,14 @@ def _float_slots(columns):
     slots[14:] = ae // np.array([100, 10, 1], np.int16)[:, None, None] % 10 + ord("0")
     keep = np.ones(slots.shape, bool)
     keep[0], keep[14] = np.signbit(x), ae >= 100
-    return _per_column(slots, keep, fast, x)
+    return slots, keep
 
 
 def _int_slots(columns):
-    """'%d' of integer columns as one array operation: sign and left-aligned
-    digits; a magnitude beyond int64 takes '%d' itself.  Returns (slots,
-    mask) per column."""
-    wide = np.array([c > 2**63 - 1 if c.dtype.kind == "u" else c == -2**63 for c in columns])
-    m = np.array([np.where(w, 0, c) for w, c in zip(wide, columns)], np.int64)
+    """'%d' of integer columns of magnitudes within int64 as one array
+    operation: sign and left-aligned digits.  Returns the slots (slot,
+    column, cell) and the mask of those filled."""
+    m = np.array(columns, np.int64)
     neg, m = m < 0, np.abs(m)
     width = len(str(m.max()))
     count = 1 + (m >= 10 ** np.arange(1, width)[:, None, None]).sum(axis=0)
@@ -154,7 +128,18 @@ def _int_slots(columns):
     slots = np.empty((width + 1, *m.shape), np.uint8)
     slots[0] = ord("-")
     slots[1:] = m // 10 ** np.maximum(place, 0) % 10 + ord("0")
-    return _per_column(slots, np.concatenate([neg[None], place >= 0]), ~wide, columns)
+    return slots, np.concatenate([neg[None], place >= 0])
+
+
+def _fits_slots(column):
+    """Whether every cell of a float or integer column has its slot layout:
+    a finite float, an integer of magnitude within int64."""
+    if column.dtype.kind == "f":
+        # As '%.9e' reads it, as float(v): a longdouble beyond the float
+        # range is inf, and a float32 signalling NaN casts without a warning.
+        with np.errstate(invalid="ignore"):
+            return np.isfinite(column.astype(float, copy=False)).all()
+    return -2**63 < column.min() and column.max() < 2**63
 
 
 def _body(columns):
@@ -167,10 +152,17 @@ def _body(columns):
     per_block = max(1, _BLOCK_CELLS // n)
     cells = {}
     for kinds, slots_of in (("f", _float_slots), ("iu", _int_slots)):
-        indices = [i for i, c in enumerate(columns) if c.dtype.kind in kinds]
-        for start in range(0, len(indices) if n >= _ARRAY_ROWS else 0, per_block):
+        indices = [i for i, c in enumerate(columns)
+                   if n >= _ARRAY_ROWS and c.dtype.kind in kinds and _fits_slots(c)]
+        for start in range(0, len(indices), per_block):
             block = indices[start:start + per_block]
-            cells.update(zip(block, slots_of([columns[i] for i in block])))
+            slots, keep = slots_of([columns[i] for i in block])
+            # A column keeps the slot rows some cell of it fills, and its mask
+            # only where some cell leaves one of them empty.
+            for j, i in enumerate(block):
+                rows = keep[:, j].any(axis=1)
+                column_keep = keep[rows, j]
+                cells[i] = slots[rows, j], None if column_keep.all() else column_keep
     # The other columns take the per-value format, all in one slot array.
     rest = [i for i in range(len(columns)) if i not in cells]
     if rest:

@@ -25,7 +25,9 @@ from casimir_bec import (
 )
 from casimir_bec import bdg
 from casimir_bec.bdg import (
+    BdgBands,
     BdgProblem,
+    ZoneEdgeGap,
     bloch_grid,
     oracle_compare,
     reduce_to_common_base,
@@ -556,18 +558,21 @@ def test_out_of_regime_run_reports_measured_deviation(params, pot):
     assert row.rel_deviation == pytest.approx(predicted, rel=0.5)
 
 
+def _bands_with(gaps, params, *zone_edge_gaps):
+    """A BdgBands at the perturbative mu_tilde holding only `zone_edge_gaps`."""
+    q_n = gaps.entry().q_n
+    return BdgBands(q_grid=np.array([q_n]), bands=np.zeros((1, 1)),
+                    zone_edge_gaps=zone_edge_gaps, k_base=2.0 * q_n, cutoff=16,
+                    mu_tilde=params.mu_tilde, drift_vs_doubled=0.0, converged=True)
+
+
 def test_oracle_compare_failed_row_reported_not_thrown(params, pot):
     # A genuine disagreement becomes a failed row, never an exception.
-    from casimir_bec.bdg import BdgBands, ZoneEdgeGap
-
     gaps = perturbative_gaps(params, pot)
     entry = gaps.entry()
     fake = ZoneEdgeGap(fundamental=0, harmonic=1, q_n=entry.q_n, e_lower=0.0,
                        e_upper=3.0 * entry.gap, gap=3.0 * entry.gap)
-    bands = BdgBands(q_grid=np.array([entry.q_n]), bands=np.zeros((1, 1)),
-                     zone_edge_gaps=(fake,), k_base=2.0 * entry.q_n, cutoff=16,
-                     mu_tilde=params.mu_tilde, drift_vs_doubled=0.0, converged=True)
-    report = oracle_compare(gaps, bands)
+    report = oracle_compare(gaps, _bands_with(gaps, params, fake))
     assert not report.all_pass
     assert report.rows[0].rel_deviation == pytest.approx(2.0, rel=1e-9)
 
@@ -590,3 +595,25 @@ def test_oracle_compare_contract(params, pot):
                             n_bands=Numerics.bdg_bands)
     with pytest.raises(ContractError):
         oracle_compare(gaps, bands)
+
+
+def test_oracle_compare_refuses_a_missing_or_moved_zone_edge(params, pot):
+    gaps = perturbative_gaps(params, pot)
+    with pytest.raises(ContractError, match="lacks the gap for fundamental 0, harmonic 1"):
+        oracle_compare(gaps, _bands_with(gaps, params))
+    moved = ZoneEdgeGap(fundamental=0, harmonic=1, q_n=gaps.entry().q_n * (1.0 + 1e-6),
+                        e_lower=0.0, e_upper=gaps.entry().gap, gap=gaps.entry().gap)
+    with pytest.raises(ContractError, match="zone-edge mismatch"):
+        oracle_compare(gaps, _bands_with(gaps, params, moved))
+
+
+def test_oracle_compare_zero_perturbative_gap_reads_the_absolute_gap(params, pot):
+    # A subnormal U is a nonzero term whose gap |U| F underflows to 0: the
+    # deviation is then the BdG gap itself, at the floor tolerance 0.005.
+    gaps = perturbative_gaps(params, _single_pot(pot.components[0].k_c, 5e-324))
+    entry = gaps.entry()
+    assert entry.gap == 0.0
+    numeric = ZoneEdgeGap(fundamental=0, harmonic=1, q_n=entry.q_n, e_lower=0.0,
+                          e_upper=1e-40, gap=1e-40)
+    row, = oracle_compare(gaps, _bands_with(gaps, params, numeric)).rows
+    assert (row.rel_deviation, row.tolerance, row.passed) == (1e-40, 0.005, True)

@@ -276,6 +276,20 @@ def test_non_finite_output_written_nowhere(config_path, tmp_path, capsys, monkey
     assert not (tmp_path / "o").exists()
 
 
+def test_out_of_memory_is_one_line(config_path, tmp_path, capsys, monkeypatch):
+    from casimir_bec import pipeline
+
+    def exhausted(config, params, pot):
+        raise MemoryError("Unable to allocate 170. GiB for an array with shape (3.5e8, 64)")
+
+    monkeypatch.setitem(pipeline.STAGES, "spectrum", (pipeline.STAGES["spectrum"][0], exhausted))
+    assert _run("spectrum", config_path, tmp_path / "o") == 2
+    assert capsys.readouterr().err == (
+        "spectrum: out of memory: Unable to allocate 170. GiB for an array with shape "
+        "(3.5e8, 64)\n")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("name, bragg, message", [
     ("explicit", "", "probe q = 0.3222 rad/um matches no Fourier term of the surface; "
      "the nearest zone edge with one, n k_c/2 = 0.3222146 rad/um (n = 1), misses it by "

@@ -151,6 +151,20 @@ def test_amplitude_list_and_second_fundamental():
     assert cfg.surface.fundamentals[1].k_c == pytest.approx(2.0 * math.pi / 3.25e-6, rel=1e-12)
 
 
+@pytest.mark.parametrize("key, line", [("h", 14), ("h2", 16)])
+def test_amplitude_list_boxed_at_64_values(key, line):
+    def config(n):
+        amplitudes = {"h": "1", "h2": "0.5", key: ", ".join(["0.01"] * n)}
+        return GOOD.replace("h = 1 um", f"h = {amplitudes['h']} um\nlambda_c2 = 7.3 um\n"
+                                        f"h2 = {amplitudes['h2']} um")
+
+    fundamental = parse_config_text(config(64)).surface.fundamentals[key == "h2"]
+    assert fundamental.amplitudes == (1e-8,) * 64
+    with pytest.raises(ConfigurationError) as refused:
+        parse_config_text(config(65), "t.cfg")
+    assert str(refused.value) == f"t.cfg:{line}: [surface] {key}: at most 64 values, got 65"
+
+
 def test_harmonic_and_q_exclusive():
     # An explicit q replaces harmonic * k_c/2; a harmonic next to it would be ignored.
     text = GOOD.replace("harmonic = 1", "harmonic = 1\nq = 0.3 rad/um")

@@ -128,6 +128,20 @@ def test_array_formatter_matches_per_cell_writer_at_its_hazards(out_dir, seed, n
     assert (out_dir / "columns.csv").read_bytes() == (out_dir / "cells.csv").read_bytes()
 
 
+def test_finite_hazards_take_the_slot_layout(tmp_path):
+    # Subnormals, zeros, extremes and exact ties in columns long enough for
+    # the array pass and free of non-finite values, so no cell is written
+    # per value: each takes its digits from its own '%.9e' text.
+    special = [5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e-300, -1e291,
+               1.7976931348623157e308, 0.0, -0.0, 1.0000000005, 9.9999999995, 9.99999999949,
+               12345678905.0]
+    values = {"x": np.resize(special, 96), "y": -np.resize(special[::-1], 96)}
+    _per_cell_writer(tmp_path / "cells.csv", list(values),
+                     list(zip(*(c.tolist() for c in values.values()))))
+    write_csv(tmp_path / "columns.csv", values)
+    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+
+
 def test_column_kind_picks_the_format(tmp_path):
     path = tmp_path / "t.csv"
     write_csv(path, {"x": np.array([-0.0, 1.5]), "n": np.array([3, -4]),

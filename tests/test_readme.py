@@ -1,4 +1,4 @@
-"""The README's examples run as written: its config block and its API sketch."""
+"""The README's examples run as written, and its box table reads as config._SCHEMA."""
 
 import contextlib
 import io
@@ -6,7 +6,7 @@ import re
 from pathlib import Path
 
 from casimir_bec.cli import main
-from casimir_bec.config import parse_config_text
+from casimir_bec.config import _SCHEMA, _UNIT_TABLES, parse_config_text
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -32,3 +32,29 @@ def test_readme_config_runs(tmp_path):
 def test_readme_api_sketch_runs():
     with contextlib.redirect_stdout(io.StringIO()):
         exec(compile(_block("python"), "README.md", "exec"), {})
+
+
+def _box_table() -> dict:
+    """{(key, whether the row boxes a list length): (low, high, unit)} of the
+    README's box table."""
+    text = README.read_text(encoding="utf-8")
+    rows = text.split("| key | box | unit | reason |\n")[1].split("\n\n")[0].splitlines()[1:]
+    boxes = {}
+    for row in rows:
+        keys, box, unit, _ = (cell.strip() for cell in row.strip("|").split("|", 3))
+        low, high = re.fullmatch(r"\[(\S+), (\S+)\]", box).groups()
+        for key in re.findall(r"`(\w+)`", keys):
+            boxes[key, "(list length)" in keys] = (float(low), float(high), unit)
+    return boxes
+
+
+def test_readme_box_table_matches_schema():
+    boxes = {}
+    for keys in _SCHEMA.values():
+        for key, spec in keys.items():
+            unit = next(u for u, f in _UNIT_TABLES.get(spec.kind, {"-": 1.0}).items() if f == 1.0)
+            if spec.box is not None:
+                boxes[key, False] = (*spec.box, unit)
+            if spec.many > 1:
+                boxes[key, True] = (1, spec.many, "-")
+    assert _box_table() == boxes
