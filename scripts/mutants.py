@@ -69,9 +69,15 @@ MUTANTS = (
            "& (np.abs(scaled - d) <= 0.5 - 1e-5)", "",
            ("tests/test_emit.py",)),
     Mutant("CSV float sign slot dropped", "emit.py",
-           "keep[0], keep[14] = np.signbit(x), ae >= 100",
-           "keep[0], keep[14] = False, ae >= 100",
+           "neg, hundreds = np.signbit(x), np.abs(e) >= 100",
+           "neg, hundreds = np.signbit(x) & False, np.abs(e) >= 100",
            ("tests/test_emit.py",)),
+    Mutant("CSV SWAR quotient by 100 off by one", "emit.py",
+           "m * 5243 >> 19", "m * 5242 >> 19",
+           ("tests/test_emit.py::test_mantissa_digits_at_the_lane_edges",)),
+    Mutant("output file rewritten in place, not created anew", "emit.py",
+           "os.unlink(path)", "pass",
+           ("tests/test_emit.py::test_a_second_write_makes_a_new_file",)),
     Mutant("CSV hazard cells keep the rint mantissa, not their own '%.9e' digits", "emit.py",
            "d[hazard] = [int(t[0] + t[2:11]) for t in texts]", "d[hazard] = d[hazard]",
            ("tests/test_emit.py::test_array_formatter_matches_per_cell_writer_at_its_hazards",)),

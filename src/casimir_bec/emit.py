@@ -5,16 +5,19 @@ UTF-8 with LF endings: '#' metadata lines, the header, one row per index.
 A column's numpy kind picks the format of the whole column, and a metadata
 value's kind picks its own: float %.9e (10 significant digits), int %d,
 bool true/false, else %s.  Identical inputs give byte-identical files: no
-timestamps, no environment-dependent content.
+timestamps, no environment-dependent content.  An existing file at an
+output's path is removed and a new file created, never rewritten in place:
+a hard link to the old file keeps the old bytes, and a symlink at the path
+is replaced by a regular file, not followed.
 
 Each column is formatted as one array operation into fixed-width uint8
 slots; the rows are joined once and the unused slots dropped once.  A finite
-float becomes its 10-digit integer mantissa d and exponent e, written digit
-by digit with its sign: d = rint(|x| 10^(9 - e)) with e = floor(log10 |x|),
-or, where that could differ from '%.9e' (extreme values, a mantissa near a
-rounding tie, log10 a decade off), d and e read from the value's own '%.9e'
-text, so the text is byte for byte '%.9e' % v.  Integers are written from
-their digits the same way.  A column holding a non-finite float or an
+float becomes its 10-digit integer mantissa d and exponent e, written with
+its sign as three words of text: d = rint(|x| 10^(9 - e)) with e =
+floor(log10 |x|), or, where that could differ from '%.9e' (extreme values,
+a mantissa near a rounding tie, log10 a decade off), d and e read from the
+value's own '%.9e' text, so the text is byte for byte '%.9e' % v.  Integers
+are written digit by digit.  A column holding a non-finite float or an
 integer of magnitude beyond int64, and every column of a table of fewer than
 64 rows (where the fixed cost of the array pass outweighs it), takes the
 per-value format in every cell.
@@ -23,6 +26,7 @@ per-value format in every cell.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -64,13 +68,12 @@ def table(columns, rows) -> dict:
 
 
 def _text_slots(texts: list[str]):
-    """Texts as UTF-8 bytes in slots of one width, one slot row per byte
-    position and one column per text, and the mask of the slots filled (None
-    when every slot is)."""
+    """Texts as UTF-8 bytes in slots of one width, one slot row per text, and
+    the mask of the slots filled (None when every slot is)."""
     encoded = [t.encode("utf-8") for t in texts]
-    data = np.array(encoded, dtype=bytes)
-    slots = data.view(np.uint8).reshape(len(encoded), data.dtype.itemsize).T
-    keep = np.arange(len(slots))[:, None] < np.array([len(b) for b in encoded])
+    slots = np.array(encoded, dtype=bytes)
+    slots = slots.view(np.uint8).reshape(len(encoded), slots.dtype.itemsize)
+    keep = np.arange(slots.shape[1]) < np.array([len(b) for b in encoded])[:, None]
     return slots, None if keep.all() else keep
 
 
@@ -94,26 +97,55 @@ def _decimal(x):
     return d, e.astype(np.int16)
 
 
-def _float_slots(columns):
-    """'%.9e' of finite float columns as one array operation: sign, the
-    digits of d, 'e' and the exponent with at least 2 digits (see _decimal).
-    Returns the slots (slot, column, cell) and the mask of those filled."""
-    # astype(float): '%.9e' formats a float32 or longdouble as float(v).
-    x = np.array([c.astype(float) for c in columns])
+# '%.9e' text pieces as little-endian words: '-D.D' in the high half, for the
+# two leading digits 0..99 of d; 'e±XXX' in the low five bytes, for the
+# exponent e = -399..399.
+_LEAD = np.array([int.from_bytes(b"\0\0\0\0-%d.%d" % divmod(k, 10), "little")
+                  for k in range(100)], np.uint64)
+_EXPONENT = np.array([int.from_bytes(b"e%+04d" % e, "little") for e in range(-399, 400)],
+                     np.uint64)
+
+
+def _eight_digits(m):
+    """The 8 decimal digits of each uint64 m < 10^8 as one word of ASCII
+    bytes, little-endian (the first digit in the lowest byte).  Each step
+    splits the lanes of the word in two (SWAR): 4-digit halves in 32-bit
+    lanes, 2-digit quarters in 16-bit lanes, digits in bytes; each
+    multiply-shift is the exact quotient within its lane."""
+    high = m * 109951163 >> 40  # m // 10^4 for m < 10^8
+    m = high | (m - 10000 * high) << 32
+    high = m * 5243 >> 19 & 0x7F0000007F  # // 100 in each 32-bit lane
+    m = high | (m - 100 * high) << 16
+    high = m * 103 >> 10 & 0x000F000F000F000F  # // 10 in each 16-bit lane
+    m = high | (m - 10 * high) << 8
+    return m + 0x3030303030303030
+
+
+def _optional(slots, filled):
+    """The part of a slot that only some cells may fill: none when no cell
+    does, no mask when every cell does."""
+    if not filled.any():
+        return []
+    return [(slots, None if filled.all() else filled[:, None])]
+
+
+def _float_cells(x):
+    """'%.9e' of each row of finite float64 values x (see _decimal) as the
+    parts of its column: (slots, mask) pairs, one slot row per cell and the
+    mask of the slots filled (None when every one is).  A cell's 17 bytes
+    are bytes 4-20 of three little-endian words: '-D.D', the other eight
+    digits of d, and 'e±XXX'; the sign and the exponent's hundreds digit take
+    a part of their own."""
     d, e = _decimal(x)
-    slots = np.empty((17, *x.shape), np.uint8)
-    slots[[0, 2, 12]] = np.array([ord("-"), ord("."), ord("e")], np.uint8)[:, None, None]
-    # The 10 digits of d, from two 5-digit int32 halves, go to slots 1 and 3-11.
-    high = np.floor(d / 1e5)
-    halves = np.array([high, d - 1e5 * high], np.int32)
-    digits = halves[:, None] // 10 ** np.arange(4, -1, -1, dtype=np.int32)[:, None, None] % 10
-    slots[[1, *range(3, 12)]] = digits.reshape(10, *x.shape) + ord("0")
-    slots[13] = np.where(e < 0, np.uint8(ord("-")), np.uint8(ord("+")))
-    ae = np.abs(e)
-    slots[14:] = ae // np.array([100, 10, 1], np.int16)[:, None, None] % 10 + ord("0")
-    keep = np.ones(slots.shape, bool)
-    keep[0], keep[14] = np.signbit(x), ae >= 100
-    return slots, keep
+    high = np.floor(d / 1e8)
+    words = np.empty((*x.shape, 3), "<u8")
+    words[..., 0] = _LEAD[high.astype(np.intp)]
+    words[..., 1] = _eight_digits((d - 1e8 * high).astype(np.uint64))
+    words[..., 2] = _EXPONENT[e + 399]
+    neg, hundreds = np.signbit(x), np.abs(e) >= 100
+    return [_optional(s[:, 4:5], neg[j]) + [(s[:, 5:18], None)]
+            + _optional(s[:, 18:19], hundreds[j]) + [(s[:, 19:21], None)]
+            for j, s in enumerate(words.view(np.uint8))]
 
 
 def _int_slots(columns):
@@ -131,64 +163,74 @@ def _int_slots(columns):
     return slots, np.concatenate([neg[None], place >= 0])
 
 
-def _fits_slots(column):
-    """Whether every cell of a float or integer column has its slot layout:
-    a finite float, an integer of magnitude within int64."""
-    if column.dtype.kind == "f":
-        # As '%.9e' reads it, as float(v): a longdouble beyond the float
-        # range is inf, and a float32 signalling NaN casts without a warning.
-        with np.errstate(invalid="ignore"):
-            return np.isfinite(column.astype(float, copy=False)).all()
-    return -2**63 < column.min() and column.max() < 2**63
-
-
 def _body(columns):
     """The rows of equal-length columns as one contiguous uint8 buffer: slots
     and separators joined, the unfilled slots dropped once."""
     n = len(columns[0])
     # Float and integer columns go in blocks of at most _BLOCK_CELLS cells (at
     # least one column): a table pays the fixed cost of one pass per kind,
-    # and a long one holds the temporaries of one column at a time.
+    # and a long one holds the temporaries of one column at a time.  A column
+    # holding a non-finite float, or an integer beyond int64, goes to the rest.
     per_block = max(1, _BLOCK_CELLS // n)
+    array = n >= _ARRAY_ROWS
     cells = {}
-    for kinds, slots_of in (("f", _float_slots), ("iu", _int_slots)):
-        indices = [i for i, c in enumerate(columns)
-                   if n >= _ARRAY_ROWS and c.dtype.kind in kinds and _fits_slots(c)]
-        for start in range(0, len(indices), per_block):
-            block = indices[start:start + per_block]
-            slots, keep = slots_of([columns[i] for i in block])
-            # A column keeps the slot rows some cell of it fills, and its mask
-            # only where some cell leaves one of them empty.
-            for j, i in enumerate(block):
-                rows = keep[:, j].any(axis=1)
-                column_keep = keep[rows, j]
-                cells[i] = slots[rows, j], None if column_keep.all() else column_keep
+    floats = [i for i, c in enumerate(columns) if array and c.dtype.kind == "f"]
+    for start in range(0, len(floats), per_block):
+        block = floats[start:start + per_block]
+        # As '%.9e' reads it, as float(v): a longdouble beyond the float
+        # range is inf, and a float32 signalling NaN casts without a warning.
+        with np.errstate(invalid="ignore"):
+            x = np.array([columns[i].astype(float) for i in block])
+        finite = np.isfinite(x).all(axis=1)
+        if not finite.all():
+            block, x = [i for i, f in zip(block, finite) if f], x[finite]
+        if block:
+            cells.update(zip(block, _float_cells(x)))
+    ints = [i for i, c in enumerate(columns) if array and c.dtype.kind in "iu"
+            and -2**63 < c.min() and c.max() < 2**63]
+    for start in range(0, len(ints), per_block):
+        block = ints[start:start + per_block]
+        slots, keep = _int_slots([columns[i] for i in block])
+        # A column keeps the slot rows some cell of it fills, and its mask
+        # only where some cell leaves one of them empty.
+        for j, i in enumerate(block):
+            rows = keep[:, j].any(axis=1)
+            column_keep = keep[rows, j]
+            cells[i] = [(slots[rows, j].T, None if column_keep.all() else column_keep.T)]
     # The other columns take the per-value format, all in one slot array.
     rest = [i for i in range(len(columns)) if i not in cells]
     if rest:
         slots, keep = _text_slots([_cell_text(v, columns[i].dtype.kind)
                                    for i in rest for v in columns[i].tolist()])
-        slots = slots.reshape(len(slots), len(rest), n)
-        keep = None if keep is None else keep.reshape(slots.shape)
-        cells.update((i, (slots[:, j], None if keep is None else keep[:, j]))
-                     for j, i in enumerate(rest))
-    separator = np.full((1, n), ord(","), np.uint8)
-    parts, masks = [], []
+        slots = slots.reshape(len(rest), n, -1)
+        keep = [None] * len(rest) if keep is None else keep.reshape(slots.shape)
+        cells.update((i, [(slots[j], keep[j])]) for j, i in enumerate(rest))
+    separator = (np.full((n, 1), ord(","), np.uint8), None)
+    parts = []
     for i in range(len(columns)):
-        parts += [cells[i][0], separator]
-        masks += [cells[i][1], None]
-    parts[-1] = np.full((1, n), ord("\n"), np.uint8)
-    # One row per table row, written in row order (out= keeps it C-ordered).
-    width = sum(len(p) for p in parts)
-    data = np.concatenate([p.T for p in parts], axis=1, out=np.empty((n, width), np.uint8))
-    if all(keep is None for keep in masks):
+        parts += [*cells[i], separator]
+    parts[-1] = (np.full((n, 1), ord("\n"), np.uint8), None)
+    # One row per table row, written in row order.
+    width = sum(p.shape[1] for p, _ in parts)
+    data = np.concatenate([p for p, _ in parts], axis=1, out=np.empty((n, width), np.uint8))
+    if all(keep is None for _, keep in parts):
         return data
     mask, start = np.ones((n, width), bool), 0
-    for part, keep in zip(parts, masks):
+    for part, keep in parts:
         if keep is not None:
-            mask[:, start:start + len(part)] = keep.T
-        start += len(part)
+            mask[:, start:start + part.shape[1]] = keep
+        start += part.shape[1]
     return data[mask]
+
+
+def _create(path):
+    """path opened for writing bytes as a new file: any file there is removed
+    first, so an output is replaced, never rewritten in place."""
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+    return open(path, "wb")
 
 
 def write_csv(path, table: dict, metadata: dict | None = None) -> None:
@@ -199,7 +241,7 @@ def write_csv(path, table: dict, metadata: dict | None = None) -> None:
     head = [f"# {key} = {format_value(value)}\n" for key, value in (metadata or {}).items()]
     head.append(",".join(table) + "\n")
     body = _body(columns) if columns and len(columns[0]) else b""
-    with open(path, "wb") as out:
+    with _create(path) as out:
         out.write("".join(head).encode("utf-8"))
         out.write(body)
 
@@ -233,8 +275,6 @@ def read_csv(path):
 
 
 def write_json(path, payload: dict) -> None:
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
-        encoding="utf-8",
-        newline="\n",
-    )
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    with _create(path) as out:
+        out.write(text.encode("ascii"))

@@ -153,6 +153,23 @@ def test_minimal_cutoff_reproduces_two_state_gap(params, pot):
     assert abs(gap_m1.gap - gap_pert.gap) / gap_pert.gap <= 5.0 * u_over_eb
 
 
+@pytest.mark.parametrize("changes, expect, match", [
+    ({"fundamentals": 3}, UnsupportedConfigurationError,
+     "BdG supports one or two corrugation fundamentals, got 3"),
+    ({"cutoff": 0}, UnsupportedConfigurationError, "plane-wave cutoff must be >= 1, got 0"),
+    ({"k_base": 0.0}, UnsupportedConfigurationError, r"k_base must be > 0, got 0\.0"),
+    ({"cutoff": 3}, UserWarning, "plane-wave cutoff M = 3 < 4 is below the convergence floor"),
+])
+def test_library_guards_refuse_or_warn(params, pot, changes, expect, match):
+    check = pytest.warns if issubclass(expect, Warning) else pytest.raises
+    with check(expect, match=match):
+        if "fundamentals" in changes:
+            reduce_to_common_base(LateralPotential(components=pot.components * 3))
+        else:
+            problem = _problem(params, pot, 0.0, cutoff=8)
+            replace(problem, **changes)
+
+
 def test_zone_edge_gap_vs_perturbative(params, pot):
     gap_pert = perturbative_gaps(params, pot).entry()
     numeric = zone_edge_gap(params.mu_tilde, RB87, pot, cutoff=16)

@@ -124,6 +124,15 @@ def test_lda_single_branch_when_flat(params, q_1):
     assert spec.supports[0][1] == pytest.approx(e_b, rel=1e-10, abs=0)
 
 
+@pytest.mark.parametrize("grid", ["decreasing", "repeated node", "seven points"])
+def test_lda_grid_refused(params, q_1, u_1, grid):
+    omega = default_lda_grid(params, q_1, abs(u_1), 64)
+    omega = {"decreasing": omega[::-1], "repeated node": np.insert(omega, 10, omega[10]),
+             "seven points": omega[:7]}[grid]
+    with pytest.raises(ContractError, match="omega grid must be increasing with at least 8 points"):
+        dsf_lda(q_1, omega, params, u_1)
+
+
 def test_lda_refinement_stability(params, q_1, u_1):
     coarse = dsf_lda(q_1, default_lda_grid(params, q_1, abs(u_1), 1001), params, u_1)
     fine = dsf_lda(q_1, default_lda_grid(params, q_1, abs(u_1), 2001), params, u_1)

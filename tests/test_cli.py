@@ -14,9 +14,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from casimir_bec import ConfigurationError
 from casimir_bec.cli import main
-from casimir_bec.config import _SCHEMA, _UNIT_TABLES
+from casimir_bec.config import _SCHEMA, _UNIT_TABLES, parse_config_text
 from casimir_bec.emit import read_csv
+from casimir_bec.pipeline import STAGES, run_scenario
 
 import golden_runs
 
@@ -503,6 +505,26 @@ def test_out_not_a_directory_refused(config_path, tmp_path, capsys, monkeypatch,
         err = capsys.readouterr().err
         assert err.startswith(f"{command}: cannot write output: ") and str(out) in err
     assert blocker.read_text() == "keep"
+
+
+@pytest.mark.parametrize("name", ["dsf.csv", "summary.json"])
+def test_directory_at_an_output_path_refused(config_path, tmp_path, capsys, name):
+    # A writer removes a file at its path before it creates the new one; a
+    # directory there stays, and the run ends in one line.
+    (tmp_path / "o" / name).mkdir(parents=True)
+    assert main(["dsf", "--config", config_path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dsf: cannot write output: ") and err.count("\n") == 1
+    assert str(tmp_path / "o" / name) in err
+    assert (tmp_path / "o" / name).is_dir()
+
+
+@pytest.mark.parametrize("command", ["nope", "validate"])
+def test_run_scenario_refuses_an_unknown_command(tmp_path, command):
+    with pytest.raises(ConfigurationError, match=re.escape(
+            f"unknown command {command!r}; pick one of {tuple(STAGES)}")):
+        run_scenario(parse_config_text(CONFIG), command, tmp_path / "o")
+    assert not (tmp_path / "o").exists()
 
 
 def test_validate_command_exit_codes(tmp_path, capsys, monkeypatch):

@@ -120,6 +120,28 @@ def test_line_numbers_in_errors():
             parse_config_text(GOOD.replace(old, new), path="t.cfg")
 
 
+@pytest.mark.parametrize("old, new, refusal", [
+    ("omega_points = 501\n", "omega_points = 501\n[ ]\n", "t.cfg:25: empty section name"),
+    ("omega_points = 501\n", "omega_points = 501\n[trap]\n",
+     "t.cfg:25: duplicate section [trap]"),
+    ("eta_f = 0.9", "eta_f 0.9", "t.cfg:15: expected 'key = value', got 'eta_f 0.9'"),
+    ("\n[species]", "x = 1\n[species]", "t.cfg:1: key outside any [section]"),
+    ("eta_f = 0.9", "eta_f = 0.9 um",
+     "t.cfg:15: [surface] eta_f: value '0.9 um' must be dimensionless (no unit)"),
+    ("eta_f = 0.9", "eta_f = 0.9, 0.8",
+     "t.cfg:15: [surface] eta_f: a single value is expected, got a list '0.9, 0.8'"),
+    ("atoms = 1e4", "atoms = lots", "t.cfg:8: [trap] atoms: cannot parse number 'lots'"),
+    ("atoms = 1e4", "atoms = inf", "t.cfg:8: [trap] atoms: value must be finite, got 'inf'"),
+    ("omega_points = 501", "omega_points = 501.5",
+     "t.cfg:24: [numerics] omega_points: expected an integer, got '501.5'"),
+])
+def test_refusal_names_its_line(old, new, refusal):
+    assert GOOD.count(old) == 1
+    with pytest.raises(ConfigurationError) as err:
+        parse_config_text(GOOD.replace(old, new), path="t.cfg")
+    assert refusal in str(err.value).splitlines()
+
+
 @pytest.mark.parametrize("key", [
     "density_points", "bdg_cutoff", "bdg_bands", "bdg_qpoints", "omega_points", "time_points",
     "branch_points"])

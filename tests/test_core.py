@@ -86,6 +86,12 @@ def test_unknown_species_with_full_parameters():
     assert sp.name == "na23"
 
 
+@pytest.mark.parametrize("name", ["rb87", "na23"])
+def test_unknown_species_field_refused(name):
+    with pytest.raises(ConfigurationError, match=r"^unknown species field\(s\): charge, spin$"):
+        species_lookup(name, spin=1, charge=0.0, mass=3.8e-26)
+
+
 def test_species_rejects_nonpositive_fields():
     with pytest.raises(ConfigurationError, match="mass"):
         species_lookup("rb87", mass=-1.0)

@@ -4,6 +4,9 @@ The array formatter is checked on long columns drawn at its hazards: mantissas
 near or at a rounding tie, neighbours of powers of ten, mixed signs and
 exponent widths, zeros, subnormals, non-finite values and integer extremes."""
 
+import itertools
+import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casimir_bec.emit import format_value, read_csv, table, write_csv
+from casimir_bec.emit import format_value, read_csv, table, write_csv, write_json
 
 
 def _cell(value) -> str:
@@ -142,6 +145,58 @@ def test_finite_hazards_take_the_slot_layout(tmp_path):
     assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
 
 
+def test_mantissa_digits_at_the_lane_edges(tmp_path):
+    # The eight low digits of a mantissa are split into halves, quarters and
+    # digits of one 64-bit word; every 2-digit group here takes an edge value
+    # (00, 01, 09, 10, 99), so each 4-digit half meets 0, 99, 100, 9999 and
+    # the eight digits 0 and 99999999.
+    groups = [int("".join(g)) for g in itertools.product(["00", "01", "09", "10", "99"],
+                                                           repeat=4)]
+    mantissas = np.array([lead * 10**8 + low for lead in (10, 19, 90, 99) for low in groups],
+                         float)
+    exponents = np.resize([-300, -100, -99, -10, -1, 0, 1, 9, 10, 99, 100, 300], len(mantissas))
+    signs = np.resize([1.0, -1.0, 1.0], len(mantissas))
+    values = {"x": signs * mantissas * 10.0 ** (exponents - 9.0), "y": mantissas * 1e-9}
+    _per_cell_writer(tmp_path / "cells.csv", list(values),
+                     list(zip(*(c.tolist() for c in values.values()))))
+    write_csv(tmp_path / "columns.csv", values)
+    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+
+
+_WRITERS = {"csv": lambda path, x: write_csv(path, {"x": [x]}),
+            "json": lambda path, x: write_json(path, {"x": x})}
+
+
+@pytest.mark.parametrize("writer", sorted(_WRITERS))
+def test_a_second_write_makes_a_new_file(tmp_path, writer):
+    write, path = _WRITERS[writer], tmp_path / "out"
+    write(path, 1.0)
+    old, inode = path.read_bytes(), path.stat().st_ino
+    os.link(path, tmp_path / "link")
+    write(path, 2.0)
+    # The link holds the old inode, so an in-place rewrite would show in both.
+    assert path.stat().st_ino != inode
+    assert (tmp_path / "link").read_bytes() == old != path.read_bytes()
+
+
+@pytest.mark.parametrize("writer", sorted(_WRITERS))
+def test_a_symlink_at_the_path_is_replaced(tmp_path, writer):
+    target, path = tmp_path / "target", tmp_path / "out"
+    target.write_text("keep")
+    path.symlink_to(target)
+    _WRITERS[writer](path, 1.0)
+    assert path.is_file() and not path.is_symlink()
+    assert target.read_text() == "keep"
+
+
+@pytest.mark.parametrize("writer", sorted(_WRITERS))
+def test_a_directory_at_the_path_is_refused(tmp_path, writer):
+    (tmp_path / "out").mkdir()
+    with pytest.raises(OSError):
+        _WRITERS[writer](tmp_path / "out", 1.0)
+    assert (tmp_path / "out").is_dir()
+
+
 def test_column_kind_picks_the_format(tmp_path):
     path = tmp_path / "t.csv"
     write_csv(path, {"x": np.array([-0.0, 1.5]), "n": np.array([3, -4]),
@@ -156,6 +211,14 @@ def test_empty_table_keeps_its_header(tmp_path):
     assert path.read_text() == "# n = 0\na,b\n"
     write_csv(path, {"a": np.array([]), "b": []})
     assert read_csv(path) == ({}, ["a", "b"], [])
+
+
+@pytest.mark.parametrize("text", ["", "# a = 1\n\n# b = 2\n"])
+def test_read_csv_refuses_a_file_without_a_header(tmp_path, text):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: no header row$"):
+        read_csv(path)
 
 
 def test_ragged_or_2d_columns_refused(tmp_path):
