@@ -81,6 +81,12 @@ MUTANTS = (
     Mutant("CSV hazard cells keep the rint mantissa, not their own '%.9e' digits", "emit.py",
            "d[hazard] = [int(t[0] + t[2:11]) for t in texts]", "d[hazard] = d[hazard]",
            ("tests/test_emit.py::test_array_formatter_matches_per_cell_writer_at_its_hazards",)),
+    Mutant("array pass keeps a table with a non-finite float", "emit.py",
+           "        if not np.isfinite(x).all():\n            return None\n", "",
+           ("tests/test_emit.py::test_array_formatter_matches_per_cell_writer_at_its_hazards",)),
+    Mutant("array pass takes an integer beyond int64", "emit.py",
+           ' and -2**63 < c.min() and c.max() < 2**63', "",
+           ("tests/test_emit.py::test_array_formatter_matches_per_cell_writer_at_its_hazards",)),
     Mutant("config box upper bound dropped", "config.py",
            "if not low <= value <= high:", "if not low <= value:",
            ("tests/test_cli.py::test_float_range_refused_in_one_line",)),
@@ -92,6 +98,9 @@ MUTANTS = (
            '"eta_f": _Key("number", box=(0.0, 1.0)),',
            '"eta_f": _Key("number", box=(0.0, 2.0)),',
            ("tests/test_readme.py::test_readme_box_table_matches_schema",)),
+    Mutant("bdg_qpoints default moved in Numerics only, not in the README", "config.py",
+           "bdg_qpoints: int = 33", "bdg_qpoints: int = 35",
+           ("tests/test_readme.py::test_readme_numerics_defaults_match_numerics",)),
     Mutant("response-table |g| box dropped", "surface.py",
            "abs(g) <= 1e3", "abs(g) <= math.inf",
            ("tests/test_surface.py::test_tabulated_refusal_names_the_file_line",)),

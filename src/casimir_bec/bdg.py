@@ -184,34 +184,52 @@ def zone_edge_gap(
     *,
     cutoff: int,
 ) -> ZoneEdgeGap:
-    """Splitting of the pair of quasiparticles at +-n*k_c/2.
+    """Splitting of the pair of quasiparticles at +-n*k_c/2: the one-pair
+    case of _zone_edge_gaps."""
+    return _zone_edge_gaps(mu_tilde, species, pot, [(fundamental, harmonic)], cutoff)[0]
 
-    The pair folds to q_b = 0 or k_base/2 and is one even and one odd
+
+def _zone_edge_gaps(mu_tilde, species, pot, pairs, cutoff) -> tuple[ZoneEdgeGap, ...]:
+    """Gaps of the pairs at +-n*k_c/2, one per (fundamental, harmonic) in
+    pairs, in order.
+
+    Each pair folds to q_b = 0 or k_base/2 and is one even and one odd
     state of the reflection-closed basis there (module docstring): with
     |q_n| = (a + s/2) k_base, its levels are index a of the even block and
-    index a - 1 + s of the odd one, the indices of the free levels.
+    index a - 1 + s of the odd one, the indices of the free levels.  The
+    blocks of each s are solved once, for all its pairs, and only after
+    every pair is known to lie inside the cutoff.
     """
     k_base, coeffs = reduce_to_common_base(pot)
-    k_c = pot.components[fundamental].k_c
-    q_n = harmonic * k_c / 2.0
-    # The pair's slot 2 q_n / k_base on the commensurate lattice: k_c / k_base
+    potential = tuple(sorted(coeffs.items()))
+    # Each pair's slot 2 q_n / k_base on the commensurate lattice: k_c / k_base
     # is the integer r or p of reduce_to_common_base to within 1e-9.
-    a, s = divmod(harmonic * round(k_c / k_base), 2)
-    problem = BdgProblem(
-        mu_tilde=mu_tilde, species=species, k_base=k_base,
-        potential=tuple(sorted(coeffs.items())), q_bloch=s * k_base / 2.0, cutoff=cutoff,
-    )
+    slots = []
+    for fundamental, harmonic in pairs:
+        k_c = pot.components[fundamental].k_c
+        slots.append((fundamental, harmonic, harmonic * k_c / 2.0,
+                      *divmod(harmonic * round(k_c / k_base), 2)))
+    problems = {s: BdgProblem(mu_tilde=mu_tilde, species=species, k_base=k_base,
+                              potential=potential, q_bloch=s * k_base / 2.0, cutoff=cutoff)
+                for *_, s in slots}
     # The waves q_bloch + n k_base, n = -M..M, hold +-q_n when a + s <= M.
-    if a + s > cutoff:
-        raise UnsupportedConfigurationError(
-            f"cutoff M = {cutoff} does not cover the zone-edge state at {q_n:.6g} rad/m"
-        )
-    even, odd = _parity_block_squares(problem, s)
-    energies = _energies(np.concatenate([even, odd]), problem.dimension)
-    e_pair = np.sort(energies[[a, even.size + a - 1 + s]])
-    return ZoneEdgeGap(fundamental=fundamental, harmonic=harmonic, q_n=q_n,
-                       e_lower=float(e_pair[0]), e_upper=float(e_pair[1]),
-                       gap=float(e_pair[1] - e_pair[0]))
+    for *_, q_n, a, s in slots:
+        if a + s > cutoff:
+            raise UnsupportedConfigurationError(
+                f"cutoff M = {cutoff} does not cover the zone-edge state at {q_n:.6g} rad/m"
+            )
+    blocks = {}
+    for s, problem in problems.items():
+        even, odd = _parity_block_squares(problem, s)
+        blocks[s] = even, _energies(np.concatenate([even, odd]), problem.dimension)
+    gaps = []
+    for fundamental, harmonic, q_n, a, s in slots:
+        even, energies = blocks[s]
+        e_pair = np.sort(energies[[a, even.size + a - 1 + s]])
+        gaps.append(ZoneEdgeGap(fundamental=fundamental, harmonic=harmonic, q_n=q_n,
+                                e_lower=float(e_pair[0]), e_upper=float(e_pair[1]),
+                                gap=float(e_pair[1] - e_pair[0])))
+    return tuple(gaps)
 
 
 @dataclass(frozen=True)
@@ -236,12 +254,6 @@ def bloch_grid(k_base: float, n: int) -> np.ndarray:
         return np.array([-k_base / 2.0])
     u = np.linspace(-1.0, 1.0, n)
     return (u - u[::-1]) / 4.0 * k_base
-
-
-def _all_zone_edge_gaps(mu_tilde, species, pot, cutoff):
-    return tuple(zone_edge_gap(mu_tilde, species, pot, harmonic=term.harmonic,
-                               fundamental=term.fundamental, cutoff=cutoff)
-                 for term in pot.terms if term.u != 0.0)
 
 
 def solve_bdg_bands(
@@ -273,10 +285,11 @@ def solve_bdg_bands(
         bands[i, :] = solve_bdg(problem)[:n_bands]
     bands = bands[inverse]
 
-    gaps = _all_zone_edge_gaps(mu_tilde, species, pot, cutoff)
+    pairs = [(term.fundamental, term.harmonic) for term in pot.terms if term.u != 0.0]
+    gaps = _zone_edge_gaps(mu_tilde, species, pot, pairs, cutoff)
     drift = converged = None
     if gaps:
-        doubled = _all_zone_edge_gaps(mu_tilde, species, pot, 2 * cutoff)
+        doubled = _zone_edge_gaps(mu_tilde, species, pot, pairs, 2 * cutoff)
         drift = max((abs(b.gap - a.gap) / a.gap for a, b in zip(gaps, doubled) if a.gap > 0.0),
                     default=0.0)
         converged = drift < 1e-3

@@ -10,17 +10,19 @@ output's path is removed and a new file created, never rewritten in place:
 a hard link to the old file keeps the old bytes, and a symlink at the path
 is replaced by a regular file, not followed.
 
-Each column is formatted as one array operation into fixed-width uint8
-slots; the rows are joined once and the unused slots dropped once.  A finite
-float becomes its 10-digit integer mantissa d and exponent e, written with
-its sign as three words of text: d = rint(|x| 10^(9 - e)) with e =
-floor(log10 |x|), or, where that could differ from '%.9e' (extreme values,
-a mantissa near a rounding tie, log10 a decade off), d and e read from the
-value's own '%.9e' text, so the text is byte for byte '%.9e' % v.  Integers
-are written digit by digit.  A column holding a non-finite float or an
-integer of magnitude beyond int64, and every column of a table of fewer than
-64 rows (where the fixed cost of the array pass outweighs it), takes the
-per-value format in every cell.
+A table is written by one of two paths, never a mix of both.  A table of
+at least 64 rows whose columns are all floats or integers within int64 is
+formatted as array operations into fixed-width uint8 slots; the rows are
+joined once and the unused slots dropped once.  A finite float becomes its
+10-digit integer mantissa d and exponent e, written with its sign as three
+words of text: d = rint(|x| 10^(9 - e)) with e = floor(log10 |x|), or,
+where that could differ from '%.9e' (extreme values, a mantissa near a
+rounding tie, log10 a decade off), d and e read from the value's own '%.9e'
+text, so the text is byte for byte '%.9e' % v.  Integers are written digit
+by digit.  Every other table (a short one, where the fixed cost of the
+array pass outweighs it, or one holding a non-finite float, a bool, a text
+or an integer beyond int64) is written one row at a time, each cell in its
+per-value format.
 """
 
 from __future__ import annotations
@@ -31,12 +33,12 @@ from pathlib import Path
 
 import numpy as np
 
-# A table of fewer rows takes the per-value format in every cell: the fixed
-# cost of the array pass equals per-value formatting of about 30 rows of six
-# columns, or 120 rows of two.
+# A table of fewer rows is written per value: the fixed cost of the array
+# pass equals per-value formatting of about 30 rows of six columns, or 120
+# rows of two.
 _ARRAY_ROWS = 64
 # Cells formatted in one array pass: all float (or integer) columns of a
-# table of up to 4096 cells, one column of a longer one (see _body).
+# table of up to 4096 cells, one column of a longer one (see _array_body).
 _BLOCK_CELLS = 4096
 
 
@@ -65,16 +67,6 @@ def table(columns, rows) -> dict:
     """Record rows as a table {column: values}; with no rows the header stays."""
     cells = list(zip(*rows, strict=True)) or [()] * len(columns)
     return dict(zip(columns, cells, strict=True))
-
-
-def _text_slots(texts: list[str]):
-    """Texts as UTF-8 bytes in slots of one width, one slot row per text, and
-    the mask of the slots filled (None when every slot is)."""
-    encoded = [t.encode("utf-8") for t in texts]
-    slots = np.array(encoded, dtype=bytes)
-    slots = slots.view(np.uint8).reshape(len(encoded), slots.dtype.itemsize)
-    keep = np.arange(slots.shape[1]) < np.array([len(b) for b in encoded])[:, None]
-    return slots, None if keep.all() else keep
 
 
 def _decimal(x):
@@ -163,31 +155,27 @@ def _int_slots(columns):
     return slots, np.concatenate([neg[None], place >= 0])
 
 
-def _body(columns):
-    """The rows of equal-length columns as one contiguous uint8 buffer: slots
-    and separators joined, the unfilled slots dropped once."""
+def _array_body(columns):
+    """The rows of equal-length float and int64 columns as one contiguous
+    uint8 buffer: slots and separators joined, the unfilled slots dropped
+    once.  None when a float column holds a non-finite value."""
     n = len(columns[0])
     # Float and integer columns go in blocks of at most _BLOCK_CELLS cells (at
     # least one column): a table pays the fixed cost of one pass per kind,
-    # and a long one holds the temporaries of one column at a time.  A column
-    # holding a non-finite float, or an integer beyond int64, goes to the rest.
+    # and a long one holds the temporaries of one column at a time.
     per_block = max(1, _BLOCK_CELLS // n)
-    array = n >= _ARRAY_ROWS
     cells = {}
-    floats = [i for i, c in enumerate(columns) if array and c.dtype.kind == "f"]
+    floats = [i for i, c in enumerate(columns) if c.dtype.kind == "f"]
     for start in range(0, len(floats), per_block):
         block = floats[start:start + per_block]
         # As '%.9e' reads it, as float(v): a longdouble beyond the float
         # range is inf, and a float32 signalling NaN casts without a warning.
         with np.errstate(invalid="ignore"):
             x = np.array([columns[i].astype(float) for i in block])
-        finite = np.isfinite(x).all(axis=1)
-        if not finite.all():
-            block, x = [i for i, f in zip(block, finite) if f], x[finite]
-        if block:
-            cells.update(zip(block, _float_cells(x)))
-    ints = [i for i, c in enumerate(columns) if array and c.dtype.kind in "iu"
-            and -2**63 < c.min() and c.max() < 2**63]
+        if not np.isfinite(x).all():
+            return None
+        cells.update(zip(block, _float_cells(x)))
+    ints = [i for i in range(len(columns)) if i not in cells]
     for start in range(0, len(ints), per_block):
         block = ints[start:start + per_block]
         slots, keep = _int_slots([columns[i] for i in block])
@@ -197,14 +185,6 @@ def _body(columns):
             rows = keep[:, j].any(axis=1)
             column_keep = keep[rows, j]
             cells[i] = [(slots[rows, j].T, None if column_keep.all() else column_keep.T)]
-    # The other columns take the per-value format, all in one slot array.
-    rest = [i for i in range(len(columns)) if i not in cells]
-    if rest:
-        slots, keep = _text_slots([_cell_text(v, columns[i].dtype.kind)
-                                   for i in rest for v in columns[i].tolist()])
-        slots = slots.reshape(len(rest), n, -1)
-        keep = [None] * len(rest) if keep is None else keep.reshape(slots.shape)
-        cells.update((i, [(slots[j], keep[j])]) for j, i in enumerate(rest))
     separator = (np.full((n, 1), ord(","), np.uint8), None)
     parts = []
     for i in range(len(columns)):
@@ -221,6 +201,20 @@ def _body(columns):
             mask[:, start:start + part.shape[1]] = keep
         start += part.shape[1]
     return data[mask]
+
+
+def _body(columns):
+    """The rows of equal-length columns: the array pass where it takes the
+    whole table, else each row joined from its cells' per-value text."""
+    if len(columns[0]) >= _ARRAY_ROWS and all(
+            c.dtype.kind == "f" or c.dtype.kind in "iu" and -2**63 < c.min() and c.max() < 2**63
+            for c in columns):
+        data = _array_body(columns)
+        if data is not None:
+            return data
+    kinds = [c.dtype.kind for c in columns]
+    return "".join(",".join(map(_cell_text, row, kinds)) + "\n"
+                   for row in zip(*(c.tolist() for c in columns))).encode("utf-8")
 
 
 def _create(path):

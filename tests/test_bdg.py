@@ -261,6 +261,32 @@ def test_drift_vs_doubled_is_the_gap_change_at_2m(params, pot):
     assert bands.converged is (bands.drift_vs_doubled < 1e-3)
 
 
+def test_zone_edge_blocks_solved_once_per_parity_and_cutoff(params, pot):
+    # A 5/3 pair: k_base = k_c / 3, so the first harmonics sit at slots 3 and
+    # 5 (both s = 1) and the second harmonics at slots 6 and 10 (both s = 0).
+    # Each parity-block pair is solved once per (s, cutoff), and each gap is
+    # the one zone_edge_gap finds for its term alone.
+    k_c, u = pot.components[0].k_c, 1e-3 * params.mu_tilde
+    lateral = LateralPotential(components=(
+        PotentialComponent(k_c=k_c, coefficients=(u, 0.5 * u)),
+        PotentialComponent(k_c=5.0 / 3.0 * k_c, coefficients=(-u, 0.3 * u))))
+    cutoff = 12
+    with mock.patch("casimir_bec.bdg._parity_block_squares",
+                    wraps=bdg._parity_block_squares) as spy:
+        bands = solve_bdg_bands(params.mu_tilde, RB87, lateral, q_grid=[0.0], cutoff=cutoff,
+                                n_bands=4)
+    solved = sorted((call.args[1], call.args[0].cutoff) for call in spy.call_args_list)
+    assert solved == [(0, cutoff), (0, 2 * cutoff), (1, cutoff), (1, 2 * cutoff)]
+    per_term = {m: tuple(zone_edge_gap(params.mu_tilde, RB87, lateral, term.harmonic,
+                                       term.fundamental, cutoff=m) for term in lateral.terms)
+                for m in (cutoff, 2 * cutoff)}
+    assert bands.zone_edge_gaps == per_term[cutoff]
+    assert [(g.fundamental, g.harmonic) for g in bands.zone_edge_gaps] == [(0, 1), (0, 2),
+                                                                           (1, 1), (1, 2)]
+    assert bands.drift_vs_doubled == max(abs(b.gap - a.gap) / a.gap
+                                         for a, b in zip(*per_term.values()))
+
+
 def test_uncovered_cutoff_refused_before_solving(params, surface):
     # A 9/7 grating pair: M = 4 misses a zone-edge state of the second
     # fundamental, which the slots show without solving the parity blocks.

@@ -412,6 +412,13 @@ def test_signal_long_pulse_reads_dsf_shape(params, q_1, u_1):
     assert dev < 0.05
 
 
+def test_long_pulse_without_probes_refused(params, u_1):
+    # At q = 2 k_mu the branch support is narrower than the kernel widths
+    # excluded around its edges and markers.
+    with pytest.raises(ValueError, match="kernel widths leaves no probe points"):
+        longpulse_shape_deviation(params, u_1, 2.0 * params.k_mu)
+
+
 def test_pulse_average_matches_time_stepped_signal(params, q_1, dsf_ref):
     # The trapezoid time average of bragg_signal converges to the exact
     # pulse average as O(n_time^-2): 16x closer from 1024 to 4096 points.

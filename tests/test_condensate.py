@@ -1,6 +1,7 @@
 """Quasi-1D derivation, TF profiles, dispersion, regime diagnostics."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from casimir_bec import (
     RB87,
+    ConfigurationError,
     PhysicsDomainError,
     TrapConfig,
     bogoliubov_dispersion,
@@ -86,6 +88,8 @@ def test_offset_shifts_full_mu_only(params):
 def test_trap_validation(surface):
     with pytest.raises(Exception):
         TrapConfig(omega_r=-1.0, omega_x=1.0, atom_number=10)
+    with pytest.raises(ConfigurationError, match=r"^atom number must be >= 1, got 0\.5$"):
+        TrapConfig(omega_r=10.0, omega_x=2.0, atom_number=0.5)
     # omega_r/omega_x = 5 builds silently; its tight_aspect regime row warns.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -155,6 +159,18 @@ def test_dispersion_monotone(params):
 def test_dispersion_rejects_negative_mu():
     with pytest.raises(PhysicsDomainError):
         bogoliubov_dispersion(1.0, -1e-30, RB87)
+    with pytest.raises(PhysicsDomainError, match=r"^mu_tilde must be >= 0, got -1e-30$"):
+        sound_speed(-1e-30, RB87)
+
+
+def test_zero_mu_tilde_and_temperature_refused(params):
+    # A scattering length of one subnormal step: g_eff = 2 hbar omega_r a
+    # underflows to 0, and with it l/2 and mu_tilde.
+    with pytest.raises(PhysicsDomainError, match=r"^derived mu_tilde must be > 0, got 0\.0$"):
+        derive_quasi1d(params.trap, replace(RB87, scattering_length=5e-324))
+    with pytest.raises(PhysicsDomainError,
+                       match=r"^environment temperature must be > 0, got 0\.0$"):
+        thermal_wavelength(0.0)
 
 
 # --- regime checks and coherence --------------------------------------------
@@ -190,6 +206,8 @@ def test_coherence_scaling(params):
     assert l1 == pytest.approx(2.0 * l2, rel=1e-12, abs=0)
     with pytest.raises(PhysicsDomainError):
         coherence_length(params.peak_density, 0.0, RB87)
+    with pytest.raises(PhysicsDomainError, match=r"^1D density must be > 0, got 0\.0$"):
+        coherence_length(0.0, 1e-9, RB87)
 
 
 def test_coherence_period_reported_separately(params, surface):

@@ -1,12 +1,14 @@
-"""The README's examples run as written, and its box table reads as config._SCHEMA."""
+"""The README's examples run as written, its box table reads as config._SCHEMA and
+its [numerics] defaults as config.Numerics."""
 
 import contextlib
 import io
 import re
+from dataclasses import asdict
 from pathlib import Path
 
 from casimir_bec.cli import main
-from casimir_bec.config import _SCHEMA, _UNIT_TABLES, parse_config_text
+from casimir_bec.config import _SCHEMA, _UNIT_TABLES, Numerics, parse_config_text
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -58,3 +60,12 @@ def test_readme_box_table_matches_schema():
             if spec.many > 1:
                 boxes[key, True] = (1, spec.many, "-")
     assert _box_table() == boxes
+
+
+def test_readme_numerics_defaults_match_numerics():
+    # Every `key = value` of the commented [numerics] lines, bdg_bands inside
+    # bdg_cutoff's comment included: each Numerics field once, at its default.
+    section = _block("ini").split("[numerics]\n", 1)[1]
+    pairs = re.findall(r"(\w+) = (\S+)", section)
+    assert sorted(key for key, _ in pairs) == sorted(asdict(Numerics()))
+    assert {key: int(value) for key, value in pairs} == asdict(Numerics())

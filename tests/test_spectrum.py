@@ -71,6 +71,8 @@ def test_gap_near_surface(params, near_surface):
 def test_gap_empty_for_flat(params):
     flat = LateralPotential(components=(PotentialComponent(k_c=1e6, coefficients=(0.0,)),))
     assert perturbative_gaps(params, flat).entries == ()
+    with pytest.raises(KeyError, match="no gap entry for fundamental 0, harmonic 1"):
+        perturbative_gaps(params, flat).entry()
 
 
 def test_gap_sign_flip_invariance(params, pot):
@@ -173,6 +175,9 @@ def test_branches_detuning_domain(params, pot):
     k_c = pot.components[0].k_c
     with pytest.raises(PhysicsDomainError):
         band_branches(params, pot, np.array([0.3 * k_c]))
+    absent = len(pot.components[0].coefficients) + 1
+    with pytest.raises(PhysicsDomainError, match=f"^harmonic {absent} not present"):
+        band_branches(params, pot, np.array([0.0]), harmonic=absent)
 
 
 # --- multibranch -------------------------------------------------------------
@@ -192,6 +197,17 @@ def test_multibranch_sound_speed_ratio(params):
     dense = multibranch_dispersion(0, q, params.mu_tilde, params.trap.omega_r, RB87)
     ratio = dense / (HBAR * q) / sound_speed(params.mu_tilde, RB87)
     assert ratio == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-3)
+
+
+def test_multibranch_guards(params):
+    omega_r, mu = params.trap.omega_r, params.mu_tilde
+    with pytest.raises(PhysicsDomainError, match=r"^radial quantum number must be >= 0, got -1$"):
+        multibranch_dispersion(-1, 0.0, mu, omega_r, RB87)
+    with pytest.raises(PhysicsDomainError, match=r"^chemical potential must be > 0, got 0\.0$"):
+        multibranch_dispersion(0, 0.0, 0.0, omega_r, RB87)
+    radius = math.sqrt(2.0 * mu / (RB87.mass * omega_r**2))
+    with pytest.warns(UserWarning, match=r"^q\*R = 2 > 1: expansion in \(qR\)\^2 degrades$"):
+        multibranch_dispersion(0, 2.0 / radius, mu, omega_r, RB87)
 
 
 # --- coupled fundamentals -----------------------------------------------------

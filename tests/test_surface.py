@@ -160,6 +160,13 @@ def test_surface_validation():
                       z_cm=Z_CM, eta_f=1.2)
     with pytest.raises(ConfigurationError):
         Corrugation(k_c=-1.0, amplitudes=(1e-6,))
+    with pytest.raises(ConfigurationError, match="^corrugation needs at least one Fourier"):
+        Corrugation(k_c=K_C, amplitudes=())
+    for h in (-1e-9, math.inf, math.nan):
+        with pytest.raises(ConfigurationError, match="^corrugation amplitudes must be finite"):
+            Corrugation(k_c=K_C, amplitudes=(1e-6, h))
+    with pytest.raises(ConfigurationError, match="^surface needs at least one corrugation"):
+        SurfaceConfig(fundamentals=(), z_cm=Z_CM)
     with pytest.warns(UserWarning, match="smallest length scale"):
         SurfaceConfig(fundamentals=(Corrugation(k_c=K_C, amplitudes=(5e-6,)),), z_cm=1e-6)
 
@@ -275,6 +282,22 @@ def test_tabulated_malformed(tmp_path):
     wrong_order.write_text("k_radpm,z_m,g_Jpm\n2,1,1\n2,2,1\n1,1,1\n1,2,1\n")
     with pytest.raises(ConfigurationError, match="increasing"):
         load_tabulated_response(str(wrong_order))
+
+    no_rows = tmp_path / "bad4.csv"
+    no_rows.write_text("# no rows\nk_radpm,z_m,g_Jpm\n\n")
+    with pytest.raises(ConfigurationError, match=r"bad4\.csv: empty response table$"):
+        load_tabulated_response(str(no_rows))
+
+    one_k = tmp_path / "bad5.csv"
+    one_k.write_text("k_radpm,z_m,g_Jpm\n1,1,-1\n1,2,-2\n")
+    with pytest.raises(ConfigurationError, match=r"bad5\.csv: need at least a 2x2 grid, got 1x2$"):
+        load_tabulated_response(str(one_k))
+
+    # Blank rows are skipped, not refused.
+    blank_rows = tmp_path / "blank.csv"
+    blank_rows.write_text("k_radpm,z_m,g_Jpm\n1,1,-1\n\n1,2,-2\n2,1,-3\n\n2,2,-4\n\n")
+    resp = load_tabulated_response(str(blank_rows))
+    assert [resp(1.0, 1.0), resp(1.0, 2.0), resp(2.0, 1.0), resp(2.0, 2.0)] == [-1, -2, -3, -4]
 
 
 def test_tabulated_refusal_names_the_file_line(tmp_path):
