@@ -37,15 +37,21 @@ UNRUN: dict[tuple[str, str, str], str] = {}
 def function_lines(path: Path) -> dict[int, str]:
     """{line: qualified function name} of each function-body line of a module."""
     lines: dict[int, str] = {}
-    stack = [compile(path.read_text(encoding="utf-8"), str(path), "exec")]
+    # (code, the qualified-name prefix of what it defines); co_qualname
+    # itself is not on Python 3.10.
+    stack = [(compile(path.read_text(encoding="utf-8"), str(path), "exec"), "")]
     while stack:
-        code = stack.pop()
-        stack += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+        code, prefix = stack.pop()
         if code.co_flags & inspect.CO_OPTIMIZED:  # a function, not a module or class body
+            name = prefix + code.co_name
+            inner = name + ".<locals>."
             for _, _, line in code.co_lines():
                 if line is not None and line != code.co_firstlineno:
                     # An enclosing function is popped before what it defines.
-                    lines.setdefault(line, getattr(code, "co_qualname", code.co_name))
+                    lines.setdefault(line, name)
+        else:
+            inner = "" if code.co_name == "<module>" else prefix + code.co_name + "."
+        stack += [(c, inner) for c in code.co_consts if isinstance(c, types.CodeType)]
     return lines
 
 

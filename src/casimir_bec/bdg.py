@@ -186,12 +186,16 @@ def zone_edge_gap(
 ) -> ZoneEdgeGap:
     """Splitting of the pair of quasiparticles at +-n*k_c/2: the one-pair
     case of _zone_edge_gaps."""
-    return _zone_edge_gaps(mu_tilde, species, pot, [(fundamental, harmonic)], cutoff)[0]
+    k_base, coeffs = reduce_to_common_base(pot)
+    return _zone_edge_gaps(mu_tilde, species, pot, k_base, tuple(sorted(coeffs.items())),
+                           [(fundamental, harmonic)], cutoff)[0]
 
 
-def _zone_edge_gaps(mu_tilde, species, pot, pairs, cutoff) -> tuple[ZoneEdgeGap, ...]:
+def _zone_edge_gaps(mu_tilde, species, pot, k_base, potential, pairs,
+                    cutoff) -> tuple[ZoneEdgeGap, ...]:
     """Gaps of the pairs at +-n*k_c/2, one per (fundamental, harmonic) in
-    pairs, in order.
+    pairs, in order; k_base and potential are pot's reduce_to_common_base,
+    the latter as a BdgProblem takes it.
 
     Each pair folds to q_b = 0 or k_base/2 and is one even and one odd
     state of the reflection-closed basis there (module docstring): with
@@ -200,8 +204,6 @@ def _zone_edge_gaps(mu_tilde, species, pot, pairs, cutoff) -> tuple[ZoneEdgeGap,
     blocks of each s are solved once, for all its pairs, and only after
     every pair is known to lie inside the cutoff.
     """
-    k_base, coeffs = reduce_to_common_base(pot)
-    potential = tuple(sorted(coeffs.items()))
     # Each pair's slot 2 q_n / k_base on the commensurate lattice: k_c / k_base
     # is the integer r or p of reduce_to_common_base to within 1e-9.
     slots = []
@@ -286,10 +288,10 @@ def solve_bdg_bands(
     bands = bands[inverse]
 
     pairs = [(term.fundamental, term.harmonic) for term in pot.terms if term.u != 0.0]
-    gaps = _zone_edge_gaps(mu_tilde, species, pot, pairs, cutoff)
+    gaps = _zone_edge_gaps(mu_tilde, species, pot, k_base, potential, pairs, cutoff)
     drift = converged = None
     if gaps:
-        doubled = _zone_edge_gaps(mu_tilde, species, pot, pairs, 2 * cutoff)
+        doubled = _zone_edge_gaps(mu_tilde, species, pot, k_base, potential, pairs, 2 * cutoff)
         drift = max((abs(b.gap - a.gap) / a.gap for a, b in zip(gaps, doubled) if a.gap > 0.0),
                     default=0.0)
         converged = drift < 1e-3

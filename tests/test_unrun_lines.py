@@ -22,12 +22,21 @@ def g(n):
     if n:
         return [i * X for i in range(n)]
     raise ValueError
+
+
+def outer():
+    def inner():
+        return X
+    return inner
 '''
 
 
 def test_function_lines_are_bodies_without_def_lines(tmp_path):
     # Module and class bodies run at import and do not count; a
-    # comprehension's lines belong to the function that holds it.
+    # comprehension's lines belong to the function that holds it, and names
+    # are qualified as co_qualname (Python 3.11) would have them.
     path = tmp_path / "m.py"
     path.write_text(SOURCE)
-    assert unrun_lines.function_lines(path) == {8: "A.f", 12: "g", 13: "g", 14: "g"}
+    assert unrun_lines.function_lines(path) == {8: "A.f", 12: "g", 13: "g", 14: "g",
+                                                18: "outer", 19: "outer.<locals>.inner",
+                                                20: "outer"}
