@@ -59,12 +59,21 @@ MUTANTS = (
            "energies[[a, even.size + a - 1 + s]]", "energies[[a, even.size + a + s]]",
            ("tests/test_bdg.py::test_zone_edge_slots_match_the_basis_search",)),
     Mutant("even and odd parity blocks swapped", "bdg.py",
-           "return np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd)",
-           "return np.linalg.eigvalsh(odd), np.linalg.eigvalsh(even)",
+           "return (_k_squares(t, direct + exchange),\n"
+           "            _k_squares(t[1 - s:], (direct - exchange)[1 - s:, 1 - s:]))",
+           "return (_k_squares(t[1 - s:], (direct - exchange)[1 - s:, 1 - s:]),\n"
+           "            _k_squares(t, direct + exchange))",
            ("tests/test_bdg.py::test_off_integer_zone_edge_solves_on_the_commensurate_lattice",)),
     Mutant("+s dropped from the parity-block exchange offset", "bdg.py",
            "exchange = couplings[a[:, None] + a + s]", "exchange = couplings[a[:, None] + a]",
            ("tests/test_bdg.py::test_zone_edge_gap_vs_perturbative",)),
+    Mutant("solve_bdg ignores its Bloch momentum", "bdg.py",
+           "free_kinetic_energy(q_bloch + n * problem.k_base",
+           "free_kinetic_energy(n * problem.k_base",
+           ("tests/test_bdg.py::test_detuned_branches_match_bdg",)),
+    Mutant("the 2M basis repeats the run's warnings", "bdg.py",
+           'warnings.simplefilter("ignore")  # problem\'s own basis has warned already', "pass",
+           ("tests/test_bdg.py::test_each_basis_warning_fires_once_per_call",)),
     Mutant("CSV float tie guard dropped", "emit.py",
            "& (np.abs(scaled - d) <= 0.5 - 1e-5)", "",
            ("tests/test_emit.py",)),
@@ -89,7 +98,7 @@ MUTANTS = (
            ("tests/test_emit.py::test_array_formatter_matches_per_cell_writer_at_its_hazards",)),
     Mutant("config box upper bound dropped", "config.py",
            "if not low <= value <= high:", "if not low <= value:",
-           ("tests/test_cli.py::test_float_range_refused_in_one_line",)),
+           ("tests/test_cli.py::test_schema_box_refused_in_one_line",)),
     Mutant("t_env box made inclusive of 0 K", "config.py",
            '"t_env": _Key("temperature", box=(1e-6, 1e5)),',
            '"t_env": _Key("temperature", box=(0.0, 1e5)),',

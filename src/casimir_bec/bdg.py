@@ -24,6 +24,8 @@ perturbative gap in spectrum.py.  Two fundamentals must be commensurate
 The potential is a cosine series, so K commutes with the reflection
 k -> -k wherever the plane-wave set is closed under it.  Hence
 E(-q_b) = E(q_b), and solve_bdg_bands solves each distinct |q_b| once.
+A BdgProblem is the basis alone, built once per cutoff by bdg_problem; the
+Bloch momentum is an argument of solve_bdg.
 Every zone edge n k_c / 2 folds to q_b = 0 or k_base / 2, where the
 reflection-closed basis k = +-(a + s/2) k_base, a = 0..M (s = 0, 1), splits
 K into an even and an odd block of dimension ~M + 1.  The +-q_n pair is one
@@ -36,7 +38,7 @@ needs two half-size eigenvalue solves and no eigenvectors.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -49,42 +51,15 @@ from .surface import LateralPotential
 _COMMENSURATE_MAX = 64
 
 
-def reduce_to_common_base(pot: LateralPotential) -> tuple[float, dict[int, float]]:
-    """Common Bloch wavenumber k_base and the potential coefficients as
-    {multiple of k_base: U in J}."""
-    comps = pot.components
-    if not 1 <= len(comps) <= 2:
-        raise UnsupportedConfigurationError(
-            f"BdG supports one or two corrugation fundamentals, got {len(comps)}"
-        )
-    k_base, multiples = comps[0].k_c, (1,)
-    if len(comps) == 2:
-        ratio = comps[1].k_c / comps[0].k_c
-        frac = Fraction(ratio).limit_denominator(_COMMENSURATE_MAX)
-        p, r = frac.numerator, frac.denominator
-        if p < 1 or p > _COMMENSURATE_MAX or abs(float(frac) - ratio) > 1e-9 * ratio:
-            raise UnsupportedConfigurationError(
-                f"fundamentals with k_c ratio {ratio!r} are not commensurate as p/r with "
-                f"p, r <= {_COMMENSURATE_MAX}; no common Bloch period exists"
-            )
-        k_base, multiples = comps[0].k_c / r, (r, p)
-    coeffs: dict[int, float] = {}
-    for term in pot.terms:
-        if term.u != 0.0:
-            mult = term.harmonic * multiples[term.fundamental]
-            coeffs[mult] = coeffs.get(mult, 0.0) + term.u
-    return k_base, coeffs
-
-
 @dataclass(frozen=True)
 class BdgProblem:
-    """One Bloch-momentum diagonalization of dimension 2*cutoff + 1."""
+    """The plane-wave basis n = -cutoff..cutoff of one potential, of
+    dimension 2*cutoff + 1; solve_bdg takes the Bloch momentum."""
 
     mu_tilde: float
     species: AtomSpecies
     k_base: float                          # rad/m
     potential: tuple[tuple[int, float], ...]  # (multiple of k_base, U in J)
-    q_bloch: float                         # rad/m
     cutoff: int                            # M, plane waves n = -M..M
 
     def __post_init__(self):
@@ -110,6 +85,35 @@ class BdgProblem:
         return 2 * self.cutoff + 1
 
 
+def bdg_problem(mu_tilde: float, species: AtomSpecies, pot: LateralPotential,
+                cutoff: int) -> BdgProblem:
+    """pot's basis at cutoff M: the common Bloch wavenumber k_base and the
+    potential coefficients as sorted (multiple of k_base, U in J)."""
+    comps = pot.components
+    if not 1 <= len(comps) <= 2:
+        raise UnsupportedConfigurationError(
+            f"BdG supports one or two corrugation fundamentals, got {len(comps)}"
+        )
+    k_base, multiples = comps[0].k_c, (1,)
+    if len(comps) == 2:
+        ratio = comps[1].k_c / comps[0].k_c
+        frac = Fraction(ratio).limit_denominator(_COMMENSURATE_MAX)
+        p, r = frac.numerator, frac.denominator
+        if p < 1 or p > _COMMENSURATE_MAX or abs(float(frac) - ratio) > 1e-9 * ratio:
+            raise UnsupportedConfigurationError(
+                f"fundamentals with k_c ratio {ratio!r} are not commensurate as p/r with "
+                f"p, r <= {_COMMENSURATE_MAX}; no common Bloch period exists"
+            )
+        k_base, multiples = comps[0].k_c / r, (r, p)
+    coeffs: dict[int, float] = {}
+    for term in pot.terms:
+        if term.u != 0.0:
+            mult = term.harmonic * multiples[term.fundamental]
+            coeffs[mult] = coeffs.get(mult, 0.0) + term.u
+    return BdgProblem(mu_tilde=mu_tilde, species=species, k_base=k_base,
+                      potential=tuple(sorted(coeffs.items())), cutoff=cutoff)
+
+
 def _negated_couplings(potential, size: int) -> np.ndarray:
     """-U at each plane-wave offset d < size (a multiple of k_base), 0.0
     elsewhere: the off-diagonal of T + 2A, looked up by offset."""
@@ -133,22 +137,27 @@ def _energies(squares: np.ndarray, n_pw: int) -> np.ndarray:
     return np.sqrt(np.where(squares > bound, squares, 0.0))
 
 
-def solve_bdg(problem: BdgProblem) -> np.ndarray:
-    """Quasiparticle energies E >= 0, ascending."""
+def _k_squares(t: np.ndarray, t_2a: np.ndarray) -> np.ndarray:
+    """Eigenvalues E^2 of one block K = T^1/2 (T + 2A) T^1/2, with t the
+    diagonal of T and t_2a the block of T + 2A."""
+    root_t = np.sqrt(t)
+    return np.linalg.eigvalsh(root_t[:, None] * t_2a * root_t)
+
+
+def solve_bdg(problem: BdgProblem, q_bloch: float) -> np.ndarray:
+    """Quasiparticle energies E >= 0 at Bloch momentum q_bloch (rad/m), ascending."""
     m = problem.cutoff
     n = np.arange(-m, m + 1)
-    t = free_kinetic_energy(problem.q_bloch + n * problem.k_base, problem.species)
+    t = free_kinetic_energy(q_bloch + n * problem.k_base, problem.species)
     t_2a = _negated_couplings(problem.potential, 2 * m + 1)[np.abs(n[:, None] - n)]
     np.fill_diagonal(t_2a, t + 2.0 * problem.mu_tilde)
-    root_t = np.sqrt(t)
-    k = root_t[:, None] * t_2a * root_t
-    return _energies(np.linalg.eigvalsh(k), problem.dimension)
+    return _energies(_k_squares(t, t_2a), problem.dimension)
 
 
 def _parity_block_squares(problem: BdgProblem, s: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues E^2 of the even and the odd block of K on the
-    reflection-closed basis k = +-(a + s/2) k_base, a = 0..M; q_bloch is taken
-    as s k_base / 2.  With (|k_a> +- |-k_a>)/sqrt(2) the blocks are
+    reflection-closed basis k = +-(a + s/2) k_base, a = 0..M, at Bloch
+    momentum s k_base / 2.  With (|k_a> +- |-k_a>)/sqrt(2) the blocks are
     T^1/2 (T + 2 mu - U_|a-b| -+ U_(a+b+s)) T^1/2.  At s = 0 the odd block
     drops a = 0, and row a = 0 of the even block vanishes with T_0 = 0: the
     Goldstone zero, so its missing sqrt(2) normalization is immaterial."""
@@ -159,10 +168,8 @@ def _parity_block_squares(problem: BdgProblem, s: int) -> tuple[np.ndarray, np.n
     direct = couplings[np.abs(a[:, None] - a)]
     exchange = couplings[a[:, None] + a + s]
     np.fill_diagonal(direct, t + 2.0 * problem.mu_tilde)
-    root_t = np.sqrt(t)
-    even = root_t[:, None] * (direct + exchange) * root_t
-    odd = (root_t[:, None] * (direct - exchange) * root_t)[1 - s:, 1 - s:]
-    return np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd)
+    return (_k_squares(t, direct + exchange),
+            _k_squares(t[1 - s:], (direct - exchange)[1 - s:, 1 - s:]))
 
 
 @dataclass(frozen=True)
@@ -186,16 +193,14 @@ def zone_edge_gap(
 ) -> ZoneEdgeGap:
     """Splitting of the pair of quasiparticles at +-n*k_c/2: the one-pair
     case of _zone_edge_gaps."""
-    k_base, coeffs = reduce_to_common_base(pot)
-    return _zone_edge_gaps(mu_tilde, species, pot, k_base, tuple(sorted(coeffs.items())),
-                           [(fundamental, harmonic)], cutoff)[0]
+    problem = bdg_problem(mu_tilde, species, pot, cutoff)
+    return _zone_edge_gaps(problem, pot, [(fundamental, harmonic)])[0]
 
 
-def _zone_edge_gaps(mu_tilde, species, pot, k_base, potential, pairs,
-                    cutoff) -> tuple[ZoneEdgeGap, ...]:
+def _zone_edge_gaps(problem: BdgProblem, pot: LateralPotential,
+                    pairs) -> tuple[ZoneEdgeGap, ...]:
     """Gaps of the pairs at +-n*k_c/2, one per (fundamental, harmonic) in
-    pairs, in order; k_base and potential are pot's reduce_to_common_base,
-    the latter as a BdgProblem takes it.
+    pairs, in order, on problem, pot's basis.
 
     Each pair folds to q_b = 0 or k_base/2 and is one even and one odd
     state of the reflection-closed basis there (module docstring): with
@@ -205,23 +210,19 @@ def _zone_edge_gaps(mu_tilde, species, pot, k_base, potential, pairs,
     every pair is known to lie inside the cutoff.
     """
     # Each pair's slot 2 q_n / k_base on the commensurate lattice: k_c / k_base
-    # is the integer r or p of reduce_to_common_base to within 1e-9.
+    # is the integer r or p of bdg_problem to within 1e-9.
     slots = []
     for fundamental, harmonic in pairs:
         k_c = pot.components[fundamental].k_c
         slots.append((fundamental, harmonic, harmonic * k_c / 2.0,
-                      *divmod(harmonic * round(k_c / k_base), 2)))
-    problems = {s: BdgProblem(mu_tilde=mu_tilde, species=species, k_base=k_base,
-                              potential=potential, q_bloch=s * k_base / 2.0, cutoff=cutoff)
-                for *_, s in slots}
-    # The waves q_bloch + n k_base, n = -M..M, hold +-q_n when a + s <= M.
+                      *divmod(harmonic * round(k_c / problem.k_base), 2)))
+    # The waves s k_base / 2 + n k_base, n = -M..M, hold +-q_n when a + s <= M.
     for *_, q_n, a, s in slots:
-        if a + s > cutoff:
-            raise UnsupportedConfigurationError(
-                f"cutoff M = {cutoff} does not cover the zone-edge state at {q_n:.6g} rad/m"
-            )
+        if a + s > problem.cutoff:
+            raise UnsupportedConfigurationError(f"cutoff M = {problem.cutoff} does not cover "
+                                                f"the zone-edge state at {q_n:.6g} rad/m")
     blocks = {}
-    for s, problem in problems.items():
+    for s in dict.fromkeys(s for *_, s in slots):
         even, odd = _parity_block_squares(problem, s)
         blocks[s] = even, _energies(np.concatenate([even, odd]), problem.dimension)
     gaps = []
@@ -258,23 +259,15 @@ def bloch_grid(k_base: float, n: int) -> np.ndarray:
     return (u - u[::-1]) / 4.0 * k_base
 
 
-def solve_bdg_bands(
-    mu_tilde: float,
-    species: AtomSpecies,
-    pot: LateralPotential,
-    q_grid,
-    cutoff: int,
-    n_bands: int,
-) -> BdgBands:
-    """Bands at the Bloch momenta q_grid (the bdg command's is
-    bloch_grid(k_base, bdg_qpoints)), with zone-edge gap estimates and
-    cutoff-convergence metadata."""
-    if not 1 <= n_bands <= 2 * cutoff + 1:
+def solve_bdg_bands(problem: BdgProblem, pot: LateralPotential, q_grid,
+                    n_bands: int) -> BdgBands:
+    """Bands on problem, pot's basis, at the Bloch momenta q_grid (the bdg
+    command's is bloch_grid(problem.k_base, bdg_qpoints)), with zone-edge
+    gap estimates and cutoff-convergence metadata."""
+    if not 1 <= n_bands <= problem.dimension:
         raise UnsupportedConfigurationError(f"n_bands must lie in [1, 2M + 1] = "
-                                            f"[1, {2 * cutoff + 1}], got {n_bands}")
-    k_base, coeffs = reduce_to_common_base(pot)
+                                            f"[1, {problem.dimension}], got {n_bands}")
     q_grid = np.asarray(q_grid, dtype=float)
-    potential = tuple(sorted(coeffs.items()))
 
     # E(-q) = E(q): one solve per distinct |q|, in grid order, so an unstable
     # grid is refused at the same first momentum as by a per-q loop.
@@ -282,21 +275,22 @@ def solve_bdg_bands(
                                          return_inverse=True)
     bands = np.empty((distinct.size, n_bands))
     for i in np.argsort(first):
-        problem = BdgProblem(mu_tilde=mu_tilde, species=species, k_base=k_base,
-                             potential=potential, q_bloch=float(distinct[i]), cutoff=cutoff)
-        bands[i, :] = solve_bdg(problem)[:n_bands]
+        bands[i, :] = solve_bdg(problem, float(distinct[i]))[:n_bands]
     bands = bands[inverse]
 
     pairs = [(term.fundamental, term.harmonic) for term in pot.terms if term.u != 0.0]
-    gaps = _zone_edge_gaps(mu_tilde, species, pot, k_base, potential, pairs, cutoff)
+    gaps = _zone_edge_gaps(problem, pot, pairs)
     drift = converged = None
     if gaps:
-        doubled = _zone_edge_gaps(mu_tilde, species, pot, k_base, potential, pairs, 2 * cutoff)
-        drift = max((abs(b.gap - a.gap) / a.gap for a, b in zip(gaps, doubled) if a.gap > 0.0),
-                    default=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # problem's own basis has warned already
+            doubled = replace(problem, cutoff=2 * problem.cutoff)
+        doubled_gaps = _zone_edge_gaps(doubled, pot, pairs)
+        drift = max((abs(b.gap - a.gap) / a.gap for a, b in zip(gaps, doubled_gaps)
+                     if a.gap > 0.0), default=0.0)
         converged = drift < 1e-3
-    return BdgBands(q_grid=q_grid, bands=bands, zone_edge_gaps=gaps, k_base=k_base,
-                    cutoff=cutoff, mu_tilde=mu_tilde, drift_vs_doubled=drift,
+    return BdgBands(q_grid=q_grid, bands=bands, zone_edge_gaps=gaps, k_base=problem.k_base,
+                    cutoff=problem.cutoff, mu_tilde=problem.mu_tilde, drift_vs_doubled=drift,
                     converged=converged)
 
 

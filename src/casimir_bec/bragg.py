@@ -131,6 +131,11 @@ def _trapezoid_node_weights(grid: np.ndarray) -> np.ndarray:
     return w
 
 
+def _node_masses(dsf: DsfSpectrum) -> np.ndarray:
+    """S dw' at each omega node, the trapezoid mass the Bragg drive sums."""
+    return dsf.total * _trapezoid_node_weights(dsf.omega)
+
+
 def dsf_homogeneous(q: float, omega_grid, params: Quasi1DParams) -> DsfSpectrum:
     """Delta-line DSF of the homogeneous gas on a discrete grid.
 
@@ -299,7 +304,7 @@ def pulse_averaged_drive(probe_idx, q: float, tau: float, dsf_pos: DsfSpectrum) 
     offsets = step * np.arange(n - 1, -n, -1)
     kernel = 0.5 * tau * np.sinc(offsets * tau / (2.0 * math.pi)) ** 2
     rows = np.lib.stride_tricks.sliding_window_view(kernel, n)[n - 1 - idx]
-    weights = dsf_pos.total * _trapezoid_node_weights(omega)
+    weights = _node_masses(dsf_pos)
     return (HBAR * q / 2.0) * (rows @ weights)
 
 
@@ -386,7 +391,7 @@ def bragg_signal(pulse: BraggPulse, dsf_pos: DsfSpectrum, n_time: int) -> BraggS
     _check_support(dsf_pos, pulse.tau)  # here, so a warning names our caller
     dpdt = np.zeros_like(times)
     if pulse.v_b != 0.0:  # else exact zeros, not -0.0
-        weights = dsf_pos.total * _trapezoid_node_weights(dsf_pos.omega)
+        weights = _node_masses(dsf_pos)
         dpdt = (HBAR * pulse.q * pulse.v_b**2 / 2.0) * _sin_sum(
             pulse.omega - dsf_pos.omega, step, times, weights)
         dpdt[0] = 0.0  # sin(D 0) = 0 exactly; the transform leaves roundoff

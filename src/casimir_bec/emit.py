@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import json
 import os
-from pathlib import Path
 
 import numpy as np
 
@@ -238,34 +237,6 @@ def write_csv(path, table: dict, metadata: dict | None = None) -> None:
     with _create(path) as out:
         out.write("".join(head).encode("utf-8"))
         out.write(body)
-
-
-def read_csv(path):
-    """Re-parse an emitted file: (metadata, columns, rows of floats/strings)."""
-    metadata: dict[str, str] = {}
-    columns: list[str] | None = None
-    rows: list[list] = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line:
-            continue
-        if line.startswith("#"):
-            key, _, value = line[1:].partition("=")
-            metadata[key.strip()] = value.strip()
-            continue
-        cells = line.split(",")
-        if columns is None:
-            columns = cells
-            continue
-        parsed = []
-        for cell in cells:
-            try:
-                parsed.append(float(cell))
-            except ValueError:
-                parsed.append(cell)
-        rows.append(parsed)
-    if columns is None:
-        raise ValueError(f"{path}: no header row")
-    return metadata, columns, rows
 
 
 def write_json(path, payload: dict) -> None:

@@ -113,12 +113,10 @@ def _spectrum_stage(config: RunConfig, params, pot):
 
 def _bdg_stage(config: RunConfig, params, pot):
     gaps, _, sections = _gaps(params, pot)
-    k_base, _ = bdg_mod.reduce_to_common_base(pot)
-    q_grid = bdg_mod.bloch_grid(k_base, config.numerics.bdg_qpoints)
-    bands = bdg_mod.solve_bdg_bands(
-        params.mu_tilde, config.species, pot, q_grid=q_grid,
-        cutoff=config.numerics.bdg_cutoff, n_bands=config.numerics.bdg_bands,
-    )
+    problem = bdg_mod.bdg_problem(params.mu_tilde, config.species, pot,
+                                  config.numerics.bdg_cutoff)
+    q_grid = bdg_mod.bloch_grid(problem.k_base, config.numerics.bdg_qpoints)
+    bands = bdg_mod.solve_bdg_bands(problem, pot, q_grid, config.numerics.bdg_bands)
     comparison = bdg_mod.oracle_compare(gaps, bands)
     sections["oracle_compare"] = {
         "all_pass": comparison.all_pass,

@@ -81,7 +81,7 @@ class SurfaceConfig:
             raise ConfigurationError("surface needs at least one corrugation fundamental")
         # Each zone edge is matched to one Fourier term (gap table, DSF probe),
         # so two nonzero terms at one wavenumber (to 1e-9 relative, as in
-        # bdg.reduce_to_common_base) would each be read as the whole term.
+        # bdg.bdg_problem) would each be read as the whole term.
         names = ["lambda_c"] + [f"lambda_c{f}" for f in range(2, len(self.fundamentals) + 1)]
         for (a, first), (b, second) in combinations(zip(names, self.fundamentals), 2):
             for (i, h_i), (j, h_j) in product(enumerate(first.amplitudes, start=1),

@@ -22,7 +22,7 @@ import numpy as np
 
 from casimir_bec import RB87, response_perfect
 from casimir_bec.cli import main
-from casimir_bec.emit import read_csv, table, write_csv
+from casimir_bec.emit import table, write_csv
 from casimir_bec.pipeline import STAGES
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -80,6 +80,34 @@ def write_response_table(path: Path) -> None:
             for k in np.linspace(0.2 * k_c, 3.0 * k_c, 13)
             for z in np.linspace(1e-6, 5e-6, 13)]
     write_csv(path, table(["k_radpm", "z_m", "g_Jpm"], rows))
+
+
+def read_csv(path):
+    """Re-parse an emitted file: (metadata, columns, rows of floats/strings)."""
+    metadata: dict[str, str] = {}
+    columns: list[str] | None = None
+    rows: list[list] = []
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
+        if not line:
+            continue
+        if line.startswith("#"):
+            key, _, value = line[1:].partition("=")
+            metadata[key.strip()] = value.strip()
+            continue
+        cells = line.split(",")
+        if columns is None:
+            columns = cells
+            continue
+        parsed = []
+        for cell in cells:
+            try:
+                parsed.append(float(cell))
+            except ValueError:
+                parsed.append(cell)
+        rows.append(parsed)
+    if columns is None:
+        raise ValueError(f"{path}: no header row")
+    return metadata, columns, rows
 
 
 def _metadata_value(text: str):

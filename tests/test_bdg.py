@@ -26,11 +26,10 @@ from casimir_bec import (
 from casimir_bec import bdg
 from casimir_bec.bdg import (
     BdgBands,
-    BdgProblem,
     ZoneEdgeGap,
+    bdg_problem,
     bloch_grid,
     oracle_compare,
-    reduce_to_common_base,
     solve_bdg,
     solve_bdg_bands,
     zone_edge_gap,
@@ -44,35 +43,36 @@ def _single_pot(k_c, u):
     return LateralPotential(components=(PotentialComponent(k_c=k_c, coefficients=(u,)),))
 
 
-def _default_grid(pot):
+def _default_grid(problem):
     """The bdg command's Bloch grid at default numerics."""
-    return bloch_grid(reduce_to_common_base(pot)[0], Numerics.bdg_qpoints)
+    return bloch_grid(problem.k_base, Numerics.bdg_qpoints)
 
 
 def _solved_at(cutoff, *args):
-    """zone_edge_gap(*args, cutoff=cutoff) and the Bloch momentum of the
-    problem its parity blocks were solved for."""
+    """zone_edge_gap(*args, cutoff=cutoff) and the Bloch momentum its parity
+    blocks were solved at."""
     with mock.patch("casimir_bec.bdg._parity_block_squares",
                     wraps=bdg._parity_block_squares) as spy:
         gap = zone_edge_gap(*args, cutoff=cutoff)
-    return gap, spy.call_args.args[0].q_bloch
+    problem, s = spy.call_args.args
+    return gap, s * problem.k_base / 2.0
 
 
-def _problem(params, pot, q_b, cutoff):
-    k_base, coeffs = reduce_to_common_base(pot)
-    return BdgProblem(mu_tilde=params.mu_tilde, species=RB87, k_base=k_base,
-                      potential=tuple(sorted(coeffs.items())), q_bloch=q_b, cutoff=cutoff)
+def _problem(params, pot, cutoff):
+    """pot's basis at cutoff, for the reference condensate; a solve adds the
+    Bloch momentum."""
+    return bdg_problem(params.mu_tilde, RB87, pot, cutoff)
 
 
 # Reference oracle: the full non-symmetric block problem for (u, v),
 # diagonalized with a general eigensolver.
 
 
-def _block_bdg(problem):
+def _block_bdg(problem, q_b):
     """Dense block matrix [[T+A, A], [-A, -(T+A)]] of dimension 2(2M+1)."""
     m = problem.cutoff
     n_pw = 2 * m + 1
-    momenta = problem.q_bloch + np.arange(-m, m + 1) * problem.k_base
+    momenta = q_b + np.arange(-m, m + 1) * problem.k_base
     t = np.diag((HBAR * momenta) ** 2 / (2.0 * problem.species.mass))
     a = problem.mu_tilde * np.eye(n_pw)
     for mult, u in problem.potential:
@@ -81,22 +81,22 @@ def _block_bdg(problem):
     return np.block([[t + a, a], [-a, -(t + a)]])
 
 
-def _block_solve(problem):
+def _block_solve(problem, q_b):
     """All 2(2M+1) eigenvalues of the block matrix, ascending by real part."""
-    return np.sort(np.linalg.eigvals(_block_bdg(problem)).real)
+    return np.sort(np.linalg.eigvals(_block_bdg(problem, q_b)).real)
 
 
 # Reference oracle for the zone-edge gap: K on an explicit plane-wave set,
 # diagonalized with eigenvectors, the pair picked by its plane-wave weight.
 
 
-def _vectors_solve(problem, n=None):
+def _vectors_solve(problem, q_b, n=None):
     """Energies E >= 0, ascending, with the amplitudes [u; v] of the plane
-    waves q_bloch + n k_base (default n = -M..M), one column per energy,
+    waves q_b + n k_base (default n = -M..M), one column per energy,
     zero where E = 0."""
     if n is None:
         n = np.arange(-problem.cutoff, problem.cutoff + 1)
-    t = (HBAR * (problem.q_bloch + n * problem.k_base)) ** 2 / (2.0 * problem.species.mass)
+    t = (HBAR * (q_b + n * problem.k_base)) ** 2 / (2.0 * problem.species.mass)
     offsets = np.abs(n[:, None] - n[None, :])
     t_2a = np.diag(t + 2.0 * problem.mu_tilde)
     for mult, u in problem.potential:
@@ -112,11 +112,11 @@ def _vectors_solve(problem, n=None):
     return energies, np.vstack([(f + g) / 2.0, (f - g) / 2.0])
 
 
-def _scored_pair(problem, n, q_n):
+def _scored_pair(problem, q_b, n, q_n):
     """(E_lower, E_upper): the two positive-energy states with the largest
-    plane-wave weight on the waves at +-q_n."""
-    energies, vectors = _vectors_solve(problem, n)
-    momenta = problem.q_bloch + n * problem.k_base
+    plane-wave weight on the waves q_b + n k_base at +-q_n."""
+    energies, vectors = _vectors_solve(problem, q_b, n)
+    momenta = q_b + n * problem.k_base
     slots = [int(np.argmin(np.abs(momenta - target))) for target in (q_n, -q_n)]
     assert np.allclose(momenta[slots], [q_n, -q_n], rtol=0, atol=1e-6 * problem.k_base)
     positive = np.flatnonzero(energies > 1e-12 * problem.mu_tilde)
@@ -128,16 +128,16 @@ def _scored_pair(problem, n, q_n):
 
 def test_homogeneous_limit_exact(params, pot):
     k_c = pot.components[0].k_c
-    problem = _problem(params, _single_pot(k_c, 0.0), k_c / 2.0, cutoff=8)
-    values = solve_bdg(problem)
+    problem = _problem(params, _single_pot(k_c, 0.0), cutoff=8)
+    values = solve_bdg(problem, k_c / 2.0)
     expected = [bogoliubov_dispersion(abs(k_c / 2.0 + n * k_c), params.mu_tilde, RB87)
                 for n in range(-8, 9)]
     np.testing.assert_allclose(values, np.sort(expected), rtol=1e-9)
 
 
 def test_matrix_trace_zero(params, pot):
-    problem = _problem(params, pot, 0.3e5, cutoff=6)
-    h = _block_bdg(problem)
+    problem = _problem(params, pot, cutoff=6)
+    h = _block_bdg(problem, 0.3e5)
     assert h.shape == (26, 26)
     assert np.trace(h) == pytest.approx(0.0, abs=1e-12 * np.max(np.abs(h)))
 
@@ -146,7 +146,7 @@ def test_minimal_cutoff_reproduces_two_state_gap(params, pot):
     gap_pert = perturbative_gaps(params, pot).entry()
     with pytest.warns(UserWarning, match="convergence floor"):
         gap_m1 = zone_edge_gap(params.mu_tilde, RB87, pot, cutoff=1)
-        problem = _problem(params, pot, gap_pert.q_n, cutoff=1)
+        problem = _problem(params, pot, cutoff=1)
     assert problem.dimension == 3
     e_b = bogoliubov_dispersion(gap_pert.q_n, params.mu_tilde, RB87)
     u_over_eb = abs(gap_pert.u_n) / e_b
@@ -164,9 +164,9 @@ def test_library_guards_refuse_or_warn(params, pot, changes, expect, match):
     check = pytest.warns if issubclass(expect, Warning) else pytest.raises
     with check(expect, match=match):
         if "fundamentals" in changes:
-            reduce_to_common_base(LateralPotential(components=pot.components * 3))
+            _problem(params, LateralPotential(components=pot.components * 3), cutoff=8)
         else:
-            problem = _problem(params, pot, 0.0, cutoff=8)
+            problem = _problem(params, pot, cutoff=8)
             replace(problem, **changes)
 
 
@@ -197,12 +197,13 @@ def test_linear_response_scaling(params, pot):
 
 def test_spectral_symmetry(params, pot):
     # The block oracle's spectrum is +-E pairs; its upper half is solve_bdg.
+    problem = _problem(params, pot, cutoff=10)
     for q_b in (0.11e5, 1.7e5, 3.22e5):
-        problem = _problem(params, pot, q_b, cutoff=10)
-        values = _block_solve(problem)
+        values = _block_solve(problem, q_b)
         scale = np.max(np.abs(values))
         np.testing.assert_allclose(values, -values[::-1], atol=1e-9 * scale)
-        np.testing.assert_allclose(solve_bdg(problem), values[problem.dimension:], rtol=1e-9)
+        np.testing.assert_allclose(solve_bdg(problem, q_b), values[problem.dimension:],
+                                   rtol=1e-9)
 
 
 def test_convergence_in_cutoff(params, pot):
@@ -219,7 +220,7 @@ def test_detuned_branches_match_bdg(params, pot):
     k_c = pot.components[0].k_c
     eps = k_c / 8.0
     e_minus, e_plus = band_branches(params, pot, np.array([eps]))
-    lowest = solve_bdg(_problem(params, pot, k_c / 2.0 + eps, cutoff=16))[:2]
+    lowest = solve_bdg(_problem(params, pot, cutoff=16), k_c / 2.0 + eps)[:2]
     assert e_minus[0] == pytest.approx(lowest[0], rel=0.02, abs=0)
     assert e_plus[0] == pytest.approx(lowest[1], rel=0.02, abs=0)
 
@@ -227,14 +228,15 @@ def test_detuned_branches_match_bdg(params, pot):
 def test_bloch_periodicity(params, pot):
     k_c = pot.components[0].k_c
     q_b = 0.17 * k_c
-    low = solve_bdg(_problem(params, pot, q_b, cutoff=24))[:5]
-    high = solve_bdg(_problem(params, pot, q_b + k_c, cutoff=24))[:5]
+    problem = _problem(params, pot, cutoff=24)
+    low = solve_bdg(problem, q_b)[:5]
+    high = solve_bdg(problem, q_b + k_c)[:5]
     np.testing.assert_allclose(low, high, rtol=1e-9)
 
 
 def test_solve_bdg_bands_metadata(params, pot):
-    bands = solve_bdg_bands(params.mu_tilde, RB87, pot, _default_grid(pot), cutoff=16,
-                            n_bands=4)
+    problem = _problem(params, pot, cutoff=16)
+    bands = solve_bdg_bands(problem, pot, _default_grid(problem), n_bands=4)
     assert bands.converged is True
     assert bands.drift_vs_doubled < 1e-3
     assert bands.bands.shape == (33, 4)
@@ -246,8 +248,8 @@ def test_drift_vs_doubled_is_the_gap_change_at_2m(params, pot):
     # Every cutoff that holds the zone-edge pairs reports the relative gap
     # change from M to 2M, and converged is that figure against 1e-3.
     for cutoff in (4, 5):
-        bands = solve_bdg_bands(params.mu_tilde, RB87, pot, _default_grid(pot), cutoff=cutoff,
-                                n_bands=Numerics.bdg_bands)
+        problem = _problem(params, pot, cutoff)
+        bands = solve_bdg_bands(problem, pot, _default_grid(problem), Numerics.bdg_bands)
         gap = bands.zone_edge_gaps[0].gap
         doubled = zone_edge_gap(params.mu_tilde, RB87, pot, cutoff=2 * cutoff).gap
         assert bands.drift_vs_doubled == abs(doubled - gap) / gap
@@ -255,10 +257,27 @@ def test_drift_vs_doubled_is_the_gap_change_at_2m(params, pot):
         assert bands.drift_vs_doubled < 1e-12 and bands.converged is True
     # 63/62 fundamentals at M = 32, which holds both zone-edge pairs.
     mix_params, mix_pot = mixing_scenario()
-    bands = solve_bdg_bands(mix_params.mu_tilde, mix_params.species, mix_pot,
-                            q_grid=[0.0], cutoff=32, n_bands=Numerics.bdg_bands)
+    bands = solve_bdg_bands(bdg_problem(mix_params.mu_tilde, mix_params.species, mix_pot, 32),
+                            mix_pot, q_grid=[0.0], n_bands=Numerics.bdg_bands)
     assert isinstance(bands.drift_vs_doubled, float)
     assert bands.converged is (bands.drift_vs_doubled < 1e-3)
+
+
+def test_each_basis_warning_fires_once_per_call(params):
+    # U = 1.2 mu_tilde at k_c = 4 k_mu on M = 2: the basis is below the
+    # convergence floor and sum |U| >= mu_tilde.  The call solves five |q|,
+    # the s = 1 parity blocks and the 2M basis of drift_vs_doubled, and
+    # each warning still fires once.
+    pot = _single_pot(4.0 * params.k_mu, 1.2 * params.mu_tilde)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        problem = _problem(params, pot, cutoff=2)
+        bands = solve_bdg_bands(problem, pot, bloch_grid(problem.k_base, 9), n_bands=3)
+    messages = [str(w.message) for w in caught]
+    assert len(messages) == 2, messages
+    assert messages[0].startswith("plane-wave cutoff M = 2 < 4")
+    assert messages[1].startswith("sum |U_n| = ")
+    assert bands.converged is True
 
 
 def test_zone_edge_blocks_solved_once_per_parity_and_cutoff(params, pot):
@@ -273,7 +292,7 @@ def test_zone_edge_blocks_solved_once_per_parity_and_cutoff(params, pot):
     cutoff = 12
     with mock.patch("casimir_bec.bdg._parity_block_squares",
                     wraps=bdg._parity_block_squares) as spy:
-        bands = solve_bdg_bands(params.mu_tilde, RB87, lateral, q_grid=[0.0], cutoff=cutoff,
+        bands = solve_bdg_bands(_problem(params, lateral, cutoff), lateral, q_grid=[0.0],
                                 n_bands=4)
     solved = sorted((call.args[1], call.args[0].cutoff) for call in spy.call_args_list)
     assert solved == [(0, cutoff), (0, 2 * cutoff), (1, cutoff), (1, 2 * cutoff)]
@@ -301,8 +320,8 @@ def test_uncovered_cutoff_refused_before_solving(params, surface):
 
 
 def test_goldstone_zero_appears_once(params, pot):
-    bands = solve_bdg_bands(params.mu_tilde, RB87, pot, _default_grid(pot),
-                            cutoff=Numerics.bdg_cutoff, n_bands=Numerics.bdg_bands)
+    problem = _problem(params, pot, Numerics.bdg_cutoff)
+    bands = solve_bdg_bands(problem, pot, _default_grid(problem), Numerics.bdg_bands)
     centre = int(np.flatnonzero(bands.q_grid == 0.0)[0])
     row = bands.bands[centre]
     assert np.count_nonzero(row < 1e-9 * params.mu_tilde) == 1
@@ -315,11 +334,11 @@ def test_goldstone_zero_appears_once(params, pot):
 
 def test_vectors_map_back_to_bdg_equations(params, pot):
     # (u, v) from the symmetric problem solve the block equations H x = E x.
+    problem = _problem(params, pot, cutoff=8)
     for q_b in (0.0, 0.21 * pot.components[0].k_c):
-        problem = _problem(params, pot, q_b, cutoff=8)
-        energies, vectors = _vectors_solve(problem)
-        np.testing.assert_allclose(energies, solve_bdg(problem), rtol=1e-9, atol=0)
-        residual = _block_bdg(problem) @ vectors - vectors * energies
+        energies, vectors = _vectors_solve(problem, q_b)
+        np.testing.assert_allclose(energies, solve_bdg(problem, q_b), rtol=1e-9, atol=0)
+        residual = _block_bdg(problem, q_b) @ vectors - vectors * energies
         scale = np.max(energies) * np.max(np.abs(vectors))
         assert np.max(np.abs(residual)) < 1e-10 * scale
         dead = energies == 0.0
@@ -328,10 +347,10 @@ def test_vectors_map_back_to_bdg_equations(params, pot):
 
 
 def test_band_count_out_of_range_rejected(params, pot):
+    problem = _problem(params, pot, cutoff=4)
     for n_bands in (0, 2 * 4 + 2):
         with pytest.raises(UnsupportedConfigurationError, match="n_bands"):
-            solve_bdg_bands(params.mu_tilde, RB87, pot, _default_grid(pot), cutoff=4,
-                            n_bands=n_bands)
+            solve_bdg_bands(problem, pot, _default_grid(problem), n_bands=n_bands)
 
 
 _RATIOS = (Fraction(3, 2), Fraction(4, 3), Fraction(5, 4), Fraction(5, 3), Fraction(5, 2))
@@ -357,11 +376,12 @@ def test_symmetric_solver_matches_block_oracle(params, pot, ratio, weights, stre
     if ratio is not None:
         comps.append(PotentialComponent(k_c=float(ratio) * k_c, coefficients=(u[2],)))
     lateral = LateralPotential(components=tuple(comps))
-    k_base, _ = reduce_to_common_base(lateral)
-    problem = _problem(params, lateral, q_step * k_base / 64.0, cutoff)
+    problem = _problem(params, lateral, cutoff)
+    k_base = problem.k_base
+    q_b = q_step * k_base / 64.0
 
-    new = solve_bdg(problem)
-    old = _block_solve(problem)[problem.dimension:]
+    new = solve_bdg(problem, q_b)
+    old = _block_solve(problem, q_b)[problem.dimension:]
     if q_step == 0:  # the Goldstone slot: an exact zero against roundoff
         assert new[0] == 0.0 and abs(old[0]) < 1e-6 * mu
         new, old = new[1:], old[1:]
@@ -373,10 +393,10 @@ def test_symmetric_solver_matches_block_oracle(params, pot, ratio, weights, stre
         gap, q_bloch = _solved_at(cutoff, mu, RB87, lateral, harmonic, fundamental)
         new = [gap.e_lower, gap.e_upper]
         s = round(2.0 * gap.q_n / k_base) % 2
-        closed = replace(problem, q_bloch=s * k_base / 2.0)
+        closed = s * k_base / 2.0
         n = np.arange(-cutoff - s, cutoff + 1)
-        np.testing.assert_allclose(new, _scored_pair(closed, n, gap.q_n), rtol=1e-10)
-        assert q_bloch == closed.q_bloch
+        np.testing.assert_allclose(new, _scored_pair(problem, closed, n, gap.q_n), rtol=1e-10)
+        assert q_bloch == closed
 
 
 def _searched_zone_edge(q_n, k_base, m):
@@ -423,7 +443,7 @@ def test_zone_edge_slots_match_the_basis_search(params, pot, ratio, skew, second
                                         coefficients=(1e-3 * params.mu_tilde,)))
     lateral = LateralPotential(components=tuple(comps))
     fundamental = int(second and ratio is not None)
-    k_base, _ = reduce_to_common_base(lateral)
+    k_base = _problem(params, lateral, 4).k_base
     q_n = harmonic * lateral.components[fundamental].k_c / 2.0
     multiple = ratio.numerator if fundamental else (ratio.denominator if ratio else 1)
     a, s = divmod(harmonic * multiple, 2)
@@ -433,7 +453,7 @@ def test_zone_edge_slots_match_the_basis_search(params, pot, ratio, skew, second
     solved_at = []
 
     def stub(problem, s):
-        solved_at.append(problem.q_bloch)
+        solved_at.append(s * problem.k_base / 2.0)
         return np.zeros(problem.cutoff + 1), np.zeros(problem.cutoff + s)
 
     with warnings.catch_warnings(), mock.patch("casimir_bec.bdg._parity_block_squares", stub):
@@ -466,9 +486,8 @@ def test_off_integer_zone_edge_solves_on_the_commensurate_lattice(params, pot):
                            coefficients=(u,) + (0.0,) * 38 + (u,)),
     ))
     gap, q_bloch = _solved_at(1280, params.mu_tilde, RB87, lateral, 40, 1)
-    k_base, _ = reduce_to_common_base(lateral)
-    oracle = _scored_pair(_problem(params, lateral, 0.0, 1280), np.arange(-1280, 1281),
-                          1280 * k_base)
+    problem = _problem(params, lateral, 1280)
+    oracle = _scored_pair(problem, 0.0, np.arange(-1280, 1281), 1280 * problem.k_base)
     np.testing.assert_allclose([gap.e_lower, gap.e_upper], oracle, rtol=1e-10)
     assert gap.gap > 0.0 and q_bloch == 0.0
 
@@ -505,12 +524,12 @@ def test_bands_solved_per_abs_q_match_per_q_solves(params, pot, ratio, strength,
         comps.append(PotentialComponent(k_c=float(ratio) * k_c,
                                         coefficients=(-0.4 * strength * mu,)))
     lateral = LateralPotential(components=tuple(comps))
-    k_base, _ = reduce_to_common_base(lateral)
-    q = np.array(fractions) * signs[:len(fractions)] * k_base
+    problem = _problem(params, lateral, cutoff)
+    q = np.array(fractions) * signs[:len(fractions)] * problem.k_base
     if mirrored:
         q = np.concatenate([q, -q[::-1]])
-    bands = solve_bdg_bands(mu, RB87, lateral, q_grid=q, cutoff=cutoff, n_bands=6)
-    per_q = np.array([solve_bdg(_problem(params, lateral, x, cutoff))[:6] for x in q.tolist()])
+    bands = solve_bdg_bands(problem, lateral, q_grid=q, n_bands=6)
+    per_q = np.array([solve_bdg(problem, x)[:6] for x in q.tolist()])
     assert np.array_equal(bands.q_grid, q) and bands.bands.shape == per_q.shape
     centre = q == 0.0  # the Goldstone slot: one exact zero
     assert np.all(bands.bands[centre, 0] == 0.0) and np.all(bands.bands[centre, 1:] > 0.0)
@@ -521,9 +540,9 @@ def test_bands_solved_per_abs_q_match_per_q_solves(params, pot, ratio, strength,
 def test_instability_detected(params, pot):
     k_c = pot.components[0].k_c
     with pytest.warns(UserWarning, match="TF background"):
-        problem = _problem(params, _single_pot(k_c, 3.0 * params.mu_tilde), k_c / 2.0, 12)
+        problem = _problem(params, _single_pot(k_c, 3.0 * params.mu_tilde), 12)
     with pytest.raises(InstabilityError):
-        solve_bdg(problem)
+        solve_bdg(problem, k_c / 2.0)
 
 
 def test_incommensurate_rejected(params):
@@ -532,7 +551,7 @@ def test_incommensurate_rejected(params):
         PotentialComponent(k_c=1e6 * np.pi / 3.0, coefficients=(1e-35,)),
     ))
     with pytest.raises(UnsupportedConfigurationError, match="commensurate"):
-        reduce_to_common_base(pot)
+        _problem(params, pot, 16)
 
 
 def test_dual_far_apart_matches_single_runs(params):
@@ -564,8 +583,8 @@ def test_mixing_onset_cross_check():
 
 def test_oracle_compare_rows(params, pot):
     gaps = perturbative_gaps(params, pot)
-    bands = solve_bdg_bands(params.mu_tilde, RB87, pot, _default_grid(pot), cutoff=16,
-                            n_bands=Numerics.bdg_bands)
+    problem = _problem(params, pot, cutoff=16)
+    bands = solve_bdg_bands(problem, pot, _default_grid(problem), Numerics.bdg_bands)
     report = oracle_compare(gaps, bands)
     assert report.all_pass
     row = report.rows[0]
@@ -587,8 +606,8 @@ def test_out_of_regime_run_reports_measured_deviation(params, pot):
         warnings.simplefilter("ignore")
         big = _single_pot(k_c, 0.5 * e_b)
         gaps = perturbative_gaps(params, big)
-        bands = solve_bdg_bands(params.mu_tilde, RB87, big, _default_grid(big), cutoff=16,
-                                n_bands=Numerics.bdg_bands)
+        problem = _problem(params, big, cutoff=16)
+        bands = solve_bdg_bands(problem, big, _default_grid(problem), Numerics.bdg_bands)
     report = oracle_compare(gaps, bands)
     row = report.rows[0]
     assert row.tolerance == pytest.approx(2.5, rel=1e-12)
@@ -624,8 +643,8 @@ def test_oracle_compare_zero_potential_passes(params, pot):
     k_c = pot.components[0].k_c
     flat = _single_pot(k_c, 0.0)
     gaps = perturbative_gaps(params, flat)
-    bands = solve_bdg_bands(params.mu_tilde, RB87, flat, _default_grid(flat), cutoff=8,
-                            n_bands=Numerics.bdg_bands)
+    problem = _problem(params, flat, cutoff=8)
+    bands = solve_bdg_bands(problem, flat, _default_grid(problem), Numerics.bdg_bands)
     report = oracle_compare(gaps, bands)
     assert report.all_pass and report.rows == ()
     # No gap: neither the drift nor the verdict read off it exists.
@@ -634,8 +653,8 @@ def test_oracle_compare_zero_potential_passes(params, pot):
 
 def test_oracle_compare_contract(params, pot):
     gaps = perturbative_gaps(params, pot)
-    bands = solve_bdg_bands(0.5 * params.mu_tilde, RB87, pot, _default_grid(pot), cutoff=8,
-                            n_bands=Numerics.bdg_bands)
+    problem = bdg_problem(0.5 * params.mu_tilde, RB87, pot, 8)
+    bands = solve_bdg_bands(problem, pot, _default_grid(problem), Numerics.bdg_bands)
     with pytest.raises(ContractError):
         oracle_compare(gaps, bands)
 

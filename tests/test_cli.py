@@ -17,10 +17,10 @@ from hypothesis import strategies as st
 from casimir_bec import ConfigurationError
 from casimir_bec.cli import main
 from casimir_bec.config import _SCHEMA, _UNIT_TABLES, parse_config_text
-from casimir_bec.emit import read_csv
 from casimir_bec.pipeline import STAGES, run_scenario
 
 import golden_runs
+from golden_runs import read_csv
 
 CONFIG = """
 [trap]
@@ -206,7 +206,7 @@ def test_zero_drive_keeps_the_grid_checks(config_path, tmp_path, capsys):
 
 # One input of the reference config so extreme that a derived quantity once
 # left the float range, and the line of CONFIG that now refuses it.
-_FLOAT_RANGE = {
+_SCHEMA_BOX = {
     "omega_x": ("omega_x = 0.83 Hz", "omega_x = 1e-300 Hz", "4: [trap] omega_x"),
     "z_cm": ("z_cm = 3 um", "z_cm = 1e-300 m", "8: [surface] z_cm"),
     "lambda_c_large": ("lambda_c = 9.75 um", "lambda_c = 1e300 m", "9: [surface] lambda_c"),
@@ -221,11 +221,11 @@ _FLOAT_RANGE = {
 }
 
 
-@pytest.mark.parametrize("name", list(_FLOAT_RANGE))
-def test_float_range_refused_in_one_line(tmp_path, capsys, name):
+@pytest.mark.parametrize("name", list(_SCHEMA_BOX))
+def test_schema_box_refused_in_one_line(tmp_path, capsys, name):
     # Every command refuses the value at its line, as one configuration
     # error, and leaves no directory.
-    old, new, where = _FLOAT_RANGE[name]
+    old, new, where = _SCHEMA_BOX[name]
     config = tmp_path / "extreme.cfg"
     config.write_text(CONFIG.replace(old, new, 1))
     for command in COMMAND_FILES:
@@ -241,7 +241,7 @@ def test_float_range_refused_in_one_line(tmp_path, capsys, name):
     ("potential", "the potential profile, x in um and U(x) in Hz"),
     ("bdg", "|U_1| / E_B(q_1)"),  # before any BdG solve
 ])
-def test_float_range_refusal_names_its_quantity(tmp_path, capsys, command, quantity):
+def test_schema_box_refusal_names_its_quantity(tmp_path, capsys, command, quantity):
     # h = 1e308 m once drove `quantity` out of the float range; its box now
     # refuses it at its line.
     config = tmp_path / "huge.cfg"

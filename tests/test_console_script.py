@@ -40,6 +40,8 @@ CASES = {
                ("dsf: |U| = 3.222e-30 J >= 2*T_q = 8.001e-33 J: the upper LDA branch",), False),
     "probe": (("[numerics]", "[bragg]\nq = 0.3222 rad/um\n\n[numerics]"), "dsf", 0,
               ("warning: UserWarning: probe q = 0.3222 rad/um matches no Fourier term",), True),
+    "cutoff_2": (("bdg_cutoff = 12", "bdg_cutoff = 2\nbdg_bands = 5"), "bdg", 0,
+                 ("warning: UserWarning: plane-wave cutoff M = 2 < 4",), True),
 }
 
 

@@ -103,6 +103,6 @@ def test_post_init_warnings_name_the_caller():
     with pytest.warns(UserWarning) as record:
         SurfaceConfig(fundamentals=(Corrugation(k_c=1e6, amplitudes=(5e-6,)),), z_cm=1e-6)
         BdgProblem(mu_tilde=1e-31, species=RB87, k_base=1e6, potential=((1, 2e-31),),
-                   q_bloch=0.0, cutoff=2)
+                   cutoff=2)
     assert len(record) == 3
     assert {w.filename for w in record} == {__file__}

@@ -14,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casimir_bec.emit import format_value, read_csv, table, write_csv, write_json
+from casimir_bec.emit import format_value, table, write_csv, write_json
+
+from golden_runs import read_csv
 
 
 def _cell(value) -> str:

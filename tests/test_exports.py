@@ -1,4 +1,5 @@
-"""The package exports only what something outside the tests reads."""
+"""The package exports, and defines in public, only what something outside
+the tests reads."""
 
 import ast
 import re
@@ -14,19 +15,24 @@ def _exported_names() -> list[str]:
             if isinstance(node, ast.ImportFrom) for alias in node.names]
 
 
-def test_every_export_is_read_outside_the_tests():
-    # A reader is any line of the package's other modules, of scripts/ or of
-    # the README that names the export, other than the line defining it.
+def _unread(names) -> list[str]:
+    """The names that no reader names: a reader is any line of the package's
+    modules other than __init__, of scripts/ or of the README, other than
+    the line defining the name."""
     readers = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
     readers += sorted((ROOT / "scripts").glob("*.py")) + [ROOT / "README.md"]
     lines = [line for path in readers for line in path.read_text(encoding="utf-8").splitlines()]
     unread = []
-    for name in _exported_names():
+    for name in names:
         word = re.compile(rf"\b{re.escape(name)}\b")
         definition = re.compile(rf"^\s*(def|class)\s+{re.escape(name)}\b")
         if not any(word.search(line) and not definition.match(line) for line in lines):
             unread.append(name)
-    assert unread == []
+    return unread
+
+
+def test_every_export_is_read_outside_the_tests():
+    assert _unread(_exported_names()) == []
 
 
 def _record_fields() -> list[tuple[str, str, str]]:
@@ -55,3 +61,18 @@ def test_every_record_field_is_read_outside_the_tests():
     unread = [f"{module}.{record}.{field}" for module, record, field in _record_fields()
               if not re.search(rf"\.{field}\b", text)]
     assert unread == []
+
+
+def _public_definitions() -> dict[str, str]:
+    """{name: module} for every public module-level function or class of
+    the package."""
+    return {node.name: path.stem for path in sorted(PACKAGE.glob("*.py"))
+            for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")}
+
+
+def test_every_public_definition_is_read_outside_the_tests():
+    # A function or class that only the tests call belongs in tests/.
+    definitions = _public_definitions()
+    assert [f"{definitions[name]}.{name}" for name in _unread(definitions)] == []

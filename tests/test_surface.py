@@ -24,7 +24,9 @@ from casimir_bec import (
     response_perfect,
 )
 from casimir_bec.benchmarks import benchmark_surface
-from casimir_bec.emit import read_csv, table, write_csv
+from casimir_bec.emit import table, write_csv
+
+from golden_runs import read_csv
 
 K_C = 2.0 * math.pi / 9.75e-6
 Z_CM = 3e-6
